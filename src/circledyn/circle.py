@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import NotALiftError
 from .expr import (Compose, HomeoExpr, Identity, Inverse, PiecewiseMonotone,
-                   Translate, evaluate, inverse)
+                   Translate, evaluate, inverse, power)
 
 DEFAULT_GRID = 64
 DEFAULT_TOL = 1e-9
@@ -61,13 +61,8 @@ def exact_translation_offset(F: HomeoExpr):
             return Fraction(F.amount)
         return None
     if isinstance(F, Compose):
-        a = exact_translation_offset(F.left)
-        if a is None:
-            return None
-        b = exact_translation_offset(F.right)
-        if b is None:
-            return None
-        return a + b
+        offsets = [exact_translation_offset(h) for h in F.members]
+        return None if None in offsets else sum(offsets)
     if isinstance(F, Inverse):
         t = exact_translation_offset(F.inner)
         return None if t is None else -t
@@ -122,13 +117,7 @@ class CircleHomeo:
         return CircleHomeo(inverse(self.lift))
 
     def power(self, m: int) -> "CircleHomeo":
-        if m == 0:
-            return CircleHomeo(Identity(), _normalized=True)
-        base = self.lift if m > 0 else inverse(self.lift)
-        result = base
-        for _ in range(abs(m) - 1):
-            result = Compose(result, base)
-        return CircleHomeo(result)
+        return CircleHomeo(power(self.lift, m))
 
     def __repr__(self):
         return f"CircleHomeo({self.lift!r})"

@@ -25,6 +25,7 @@ DEFAULT_EPS = 1e-12
 BOUNDARY_DELTA = 1e-15
 
 BISECT_MAX_ITER = 200
+ENCLOSURE_MAX_ROUNDS = 16
 
 _NODE_REGISTRY: dict[str, type["HomeoExpr"]] = {}
 
@@ -50,8 +51,6 @@ def _num_to_jsonable(value):
 def _num_from_jsonable(value):
     if isinstance(value, dict):
         return Fraction(value["num"], value["den"])
-    if isinstance(value, float) and value.is_integer() and abs(value) < 2**53:
-        return value
     return value
 
 
@@ -267,8 +266,7 @@ def _cell_core(inner: HomeoExpr, t: float, eps: float) -> float:
                 f"certify accuracy {eps!r}")
         t = min(max(t, BOUNDARY_DELTA), 1.0 - BOUNDARY_DELTA)
     u = _hbar_inv(t, eps)
-    w = evaluate(inner, u, eps * 0.5)
-    return _hbar(w)
+    return _hbar(evaluate(inner, u, eps))
 
 
 @_register
@@ -333,7 +331,8 @@ class ArcHat(HomeoExpr):
         u = t / self._len
         if u <= 0.0 or u >= 1.0:
             return x
-        v = _cell_core(self.inner, u, eps / max(self._len, 1e-300))
+        # The cell value is scaled by len <= 1, so its error only shrinks.
+        v = _cell_core(self.inner, u, eps)
         return self.lo + m + v * self._len
 
     def structural_inverse(self):
@@ -512,38 +511,65 @@ class PiecewiseMonotone(HomeoExpr):
 
 @_register
 class Compose(HomeoExpr):
-    """Compose(left, right) denotes left after right: x -> left(right(x))."""
+    """Compose(f1, ..., fm) is f1 after ... after fm: x -> f1(f2(...fm(x))).
+    Nested composes are flattened on construction.
 
-    __slots__ = ("left", "right", "approximate")
+    Closed-form members get the caller's eps.  Each approximate member gets
+    a share of eps, and the interval its error allows is pushed through the
+    rest of the chain (every member is increasing, so this encloses the
+    exact value); the shares shrink until the enclosure is 2*eps wide.
+    """
+
+    __slots__ = ("members", "approximate")
     kind = "compose"
 
-    def __init__(self, left: HomeoExpr, right: HomeoExpr):
-        self.left = left
-        self.right = right
-        self.approximate = left.approximate or right.approximate
+    def __init__(self, *members: HomeoExpr):
+        flat = []
+        approximate = False
+        for h in members:
+            if isinstance(h, Compose):
+                flat.extend(h.members)
+            else:
+                flat.append(h)
+            if h.approximate:
+                approximate = True
+        if len(flat) < 2:
+            raise ValueError("compose needs at least two members")
+        self.members = tuple(flat)
+        self.approximate = approximate
 
     def _eval(self, x, eps):
-        if not self.right.approximate:
-            # Inner value is float-accurate; split the budget evenly.
-            r = evaluate(self.right, x, eps * 0.5)
-            return evaluate(self.left, r, eps * 0.5)
-        r = evaluate(self.right, x, eps * 0.25)
-        lip = _lipschitz_estimate(self.left, r, eps)
-        inner_eps = eps * 0.5 / lip
-        if inner_eps < eps * 0.25:
-            r = evaluate(self.right, x, inner_eps)
-        return evaluate(self.left, r, eps * 0.5)
+        if not self.approximate:
+            for h in reversed(self.members):
+                x = evaluate(h, x, eps)
+            return x
+        share = eps / (2 * sum(1 for h in self.members if h.approximate))
+        for _ in range(ENCLOSURE_MAX_ROUNDS):
+            lo = hi = x
+            for h in reversed(self.members):
+                e = share if h.approximate else eps
+                if lo == hi:
+                    lo = hi = evaluate(h, lo, e)
+                else:
+                    lo, hi = evaluate(h, lo, e), evaluate(h, hi, e)
+                if h.approximate:
+                    lo, hi = lo - share, hi + share
+            width = hi - lo
+            if width <= 2.0 * eps:
+                return 0.5 * (lo + hi)
+            share *= eps / width
+        raise PrecisionError(f"composition did not reach eps={eps!r} in "
+                             f"{ENCLOSURE_MAX_ROUNDS} rounds (width {width!r})")
 
     def structural_inverse(self):
-        return Compose(inverse(self.right), inverse(self.left))
+        return Compose(*[inverse(h) for h in reversed(self.members)])
 
     def children(self):
-        return (self.left, self.right)
+        return self.members
 
     @classmethod
     def _from_payload(cls, payload, children):
-        left, right = children
-        return cls(left, right)
+        return cls(*children)
 
 
 @_register
@@ -577,16 +603,6 @@ class Inverse(HomeoExpr):
     def _from_payload(cls, payload, children):
         (inner,) = children
         return cls(inner)
-
-
-def _lipschitz_estimate(h: HomeoExpr, x: float, eps: float) -> float:
-    """Finite-difference slope estimate of h on a bracket around x,
-    inflated by a safety factor of two."""
-    step = max(1e-8, eps)
-    coarse = max(eps * 0.25, 1e-14)
-    lo = evaluate(h, x - step, coarse)
-    hi = evaluate(h, x + step, coarse)
-    return max((hi - lo) / (2.0 * step), 1e-12) * 2.0
 
 
 def _bisect_inverse(h: HomeoExpr, y: float, eps: float) -> float:
@@ -649,21 +665,16 @@ def power(h: HomeoExpr, k: int) -> HomeoExpr:
         return UnitCellHat(power(h.inner, k))
     if isinstance(h, ArcHat):
         return ArcHat(power(h.inner, k), h.lo, h.hi)
-    result = h
-    for _ in range(k - 1):
-        result = Compose(result, h)
-    return result
+    return h if k == 1 else Compose(*[h] * k)
 
 
 def compose_all(exprs) -> HomeoExpr:
-    """Left-to-right composition chain; Identity for an empty sequence."""
+    """Composition of the sequence, applied right to left; Identity for an
+    empty sequence."""
     exprs = [e for e in exprs if not isinstance(e, Identity)]
     if not exprs:
         return Identity()
-    result = exprs[0]
-    for e in exprs[1:]:
-        result = Compose(result, e)
-    return result
+    return exprs[0] if len(exprs) == 1 else Compose(*exprs)
 
 
 def expr_to_jsonable(h: HomeoExpr) -> dict:

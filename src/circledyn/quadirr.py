@@ -296,9 +296,7 @@ def cf_expand(x: QuadIrrational) -> CfExpansion:
         Q = (D - P * P) // Q
 
 
-def value(x: QuadIrrational, eps: float) -> float:
-    """Float approximation of x with absolute error at most eps."""
-    return x.value(eps)
+value = QuadIrrational.value
 
 
 def _mat_mul(A, B):
