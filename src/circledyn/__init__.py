@@ -20,7 +20,8 @@ from .expr import (Affine, ArcHat, Compose, HBar, HBarInv, HomeoExpr,
                    expr_to_jsonable, inverse, power)
 from .groups import (CircleZnAction, ConjugacyReport, ConjugacyWitness,
                      Verdict, ZnAction, build_circle_action,
-                     build_line_action, conjugacy_verdict, word_to_homeo)
+                     build_line_action, check_word_budget, conjugacy_verdict,
+                     word_ball, word_to_homeo)
 from .probes import (OrbitSample, ProbeReport, ProbeVerdict, fixed_points,
                      orbit, transitivity_probe, wandering_probe)
 from .quadirr import (CfExpansion, Gl2zMatrix, QuadIrrational, cf_expand,
@@ -40,7 +41,8 @@ __all__ = [
     "ProbeReport", "ProbeVerdict", "QuadIrrational", "RotationEstimate",
     "Translate", "TranslationConjugacy", "UnitCellHat", "Verdict", "ZnAction",
     "approximate_poincare_conjugacy", "build_circle_action",
-    "build_line_action", "cf_expand", "circular_distance", "coboundary",
+    "build_line_action", "cf_expand", "check_word_budget",
+    "circular_distance", "coboundary",
     "cocycle_identity_check", "cocycle_value", "commutation_defect",
     "compose_all", "conjugacy_verdict", "conjugate_to_translation",
     "cyclic_group_law", "errors", "euler_cocycle_table", "evaluate",
@@ -50,5 +52,5 @@ __all__ = [
     "power", "project", "rational_class_table", "rational_screen",
     "rotation", "rotation_number", "sigma_section", "sine_lift", "sqrt_of",
     "to_homogeneous", "to_inhomogeneous", "transitivity_probe", "value",
-    "wandering_probe", "word_group_law", "word_to_homeo",
+    "wandering_probe", "word_ball", "word_group_law", "word_to_homeo",
 ]

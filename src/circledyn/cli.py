@@ -19,14 +19,15 @@ import tempfile
 
 from .circle import CircleHomeo, project, sine_lift
 from .errors import CircledynError, RationalRotationError
-from .expr import (Affine, HomeoExpr, Identity, Translate, evaluate,
+from .expr import (Affine, HomeoExpr, Identity, Translate,
                    expr_from_jsonable, expr_to_jsonable)
 from .groups import (CircleZnAction, ConjugacyWitness, ZnAction,
-                     build_circle_action, build_line_action, conjugacy_verdict)
+                     build_circle_action, build_line_action,
+                     check_word_budget, conjugacy_verdict, word_ball,
+                     word_to_homeo)
 from .probes import (ProbeVerdict, fixed_points, orbit, transitivity_probe,
                      wandering_probe)
-from .quadirr import (Gl2zMatrix, QuadIrrational, gl2z_equivalent,
-                      parse_quad_irrational)
+from .quadirr import QuadIrrational, gl2z_equivalent, parse_quad_irrational
 from .rotnum import rational_screen, rotation_number
 
 
@@ -257,16 +258,14 @@ def _cmd_check_equiv(args) -> int:
 
 def _cmd_euler_cocycle(args) -> int:
     from .euler import euler_cocycle_table
-    from .probes import _check_budget, _word_ball
-    from .groups import word_to_homeo
 
     action = action_from_bundle(_load_json(args.action))
     if getattr(action, "space", "line") != "circle":
         raise ValueError("the Euler cocycle needs a circle action bundle")
     rank = len(action.generators)
-    _check_budget(rank, args.ball)
+    check_word_budget(rank, args.ball)
     elements = []
-    for word in _word_ball(rank, args.ball):
+    for word in word_ball(rank, args.ball):
         elements.append((word, CircleHomeo(word_to_homeo(action, word))))
     table = euler_cocycle_table(elements)
     _deliver(emit_json(table.as_jsonable()), args.output)

@@ -11,16 +11,23 @@ The circle action places k marked points at angles j/k, transplants the
 line action onto every arc through the scaled chart, and takes f to be the
 rigid 1/k rotation corrected on one arc family so that f^k restricted to
 the first arc equals the transplanted g.
+
+Words are integer vectors v, one exponent per generator.  `word_shells`
+enumerates the sup-norm word ball shell by shell; since the generators
+commute, every word of shell s is a word of shell s - 1 followed by one
+step per coordinate of absolute value s, which lets the probes evaluate
+each word from a neighbour instead of building its tree.
 """
 
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .circle import CircleHomeo, DEFAULT_EVAL_EPS, project
-from .errors import NotPrimitiveError, RangeError
+from .errors import BudgetExceededError, NotPrimitiveError, RangeError
 from .expr import (ArcHat, Compose, HomeoExpr, Identity, Translate,
                    UnitCellHat, compose_all, evaluate, inverse, power)
 from .quadirr import QuadIrrational, gl2z_equivalent
@@ -74,6 +81,102 @@ def build_line_action(alpha: QuadIrrational, n: int) -> ZnAction:
     for _ in range(n - 2):
         gens = (Translate(1),) + tuple(UnitCellHat(g) for g in gens)
     return ZnAction(n=n, generators=gens, alpha=alpha)
+
+
+BUDGET_ENV_VAR = "CIRCLEDYN_WORD_BUDGET"
+DEFAULT_WORD_BUDGET = 10**6
+
+
+def _ball_size(rank: int, radius: int) -> int:
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    return (2 * radius + 1) ** rank
+
+
+def check_word_budget(rank: int, radius: int) -> int:
+    """The number of words of sup-norm at most radius.
+
+    Raises ValueError for a negative radius and BudgetExceededError for a
+    ball larger than the word budget (CIRCLEDYN_WORD_BUDGET, default 10**6).
+    """
+    count = _ball_size(rank, radius)
+    raw = os.environ.get(BUDGET_ENV_VAR)
+    budget = int(raw) if raw else DEFAULT_WORD_BUDGET
+    if count > budget:
+        raise BudgetExceededError(
+            f"word ball of size {count} exceeds the budget {budget}")
+    return count
+
+
+def word_shells(rank: int, radius: int, steps):
+    """The words of sup-norm at most radius, one shell at a time.
+
+    For s = 0..radius yields three parallel lists (codes, preds, moves) over
+    the words of sup-norm exactly s, in lexicographic order.  A word's code
+    is its mixed-radix index sum_i (v_i + radius) * (2*radius + 1)**(rank-1-i)
+    (see `word_of`); pred is the code of its neighbour in shell s - 1, the
+    word with every coordinate of absolute value s moved one step toward 0;
+    moves holds steps[i][0] for each such coordinate with v_i = s and
+    steps[i][1] for v_i = -s.  The zero word is its own neighbour, with no
+    moves.  Each shell is built from suffix tables, in time linear in its
+    size.
+    """
+    size = _ball_size(rank, radius)
+    base = 2 * radius + 1
+    weights = [base ** (rank - 1 - i) for i in range(rank)]
+    yield [size // 2], [size // 2], [()]
+    for s in range(1, radius + 1):
+        # tables over the coordinates i..rank-1, built from i = rank-1 down:
+        # the cube (every |v_j| <= s) and the shell (max |v_j| = s)
+        cube = ([0], [0], [()])
+        shell = ([], [], [])
+        for i in reversed(range(rank)):
+            forward, backward = steps[i]
+            layer = (weights[i], s, radius, forward, backward, cube)
+            shell = _prepend(*layer, shell)
+            if i:
+                cube = _prepend(*layer, cube)
+        yield shell
+
+
+def _prepend(w, s, radius, forward, backward, edge, middle):
+    """Tables with one more leading coordinate v_i (of weight w): v_i = -s
+    over the `edge` tables, then each -s < v_i < s over `middle`, then
+    v_i = s over `edge`.  At v_i = -s and v_i = s the neighbour has v_i
+    one step nearer 0 and the word gains the move backward or forward."""
+    codes, preds, moves = edge
+    out_c = [(radius - s) * w + c for c in codes]
+    out_p = [(radius - s + 1) * w + p for p in preds]
+    head = (backward,)
+    out_m = [head + m for m in moves]
+    mid_c, mid_p, mid_m = middle
+    offsets = range((radius + 1 - s) * w, (radius + s) * w, w)
+    out_c += [off + c for off in offsets for c in mid_c]
+    out_p += [off + p for off in offsets for p in mid_p]
+    out_m += mid_m * (2 * s - 1)
+    out_c += [(radius + s) * w + c for c in codes]
+    out_p += [(radius + s - 1) * w + p for p in preds]
+    head = (forward,)
+    out_m += [head + m for m in moves]
+    return out_c, out_p, out_m
+
+
+def word_of(code: int, rank: int, radius: int) -> tuple[int, ...]:
+    """The word whose `word_shells` code in the radius ball is code."""
+    base = 2 * radius + 1
+    word = [0] * rank
+    for i in reversed(range(rank)):
+        code, digit = divmod(code, base)
+        word[i] = digit - radius
+    return tuple(word)
+
+
+def word_ball(rank: int, radius: int):
+    """Words with sup-norm at most radius, in graded lexicographic order:
+    shell by shell, lexicographic within a shell."""
+    for codes, _, _ in word_shells(rank, radius, ((None, None),) * rank):
+        for code in codes:
+            yield word_of(code, rank, radius)
 
 
 def word_to_homeo(action, v) -> HomeoExpr:

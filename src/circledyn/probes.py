@@ -10,41 +10,55 @@ INCONCLUSIVE, while wandering violations and fixed points are certified
 from __future__ import annotations
 
 import enum
-import itertools
 import math
-import os
 import warnings
+from array import array
 from dataclasses import dataclass, field
 
 from .circle import CircleHomeo, DEFAULT_EVAL_EPS, frac
-from .errors import BudgetExceededError, NonIsolatedFixedPointsWarning
-from .expr import HomeoExpr, evaluate
-from .groups import CircleZnAction, ZnAction, word_to_homeo
+from .errors import NonIsolatedFixedPointsWarning
+from .expr import HomeoExpr, Identity, evaluate, inverse
+from .groups import (check_word_budget, word_ball, word_of, word_shells,
+                     word_to_homeo)
 
-BUDGET_ENV_VAR = "CIRCLEDYN_WORD_BUDGET"
-DEFAULT_WORD_BUDGET = 10**6
 DEDUP_RESOLUTION = 1e-12
 
-
-def _word_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    return int(raw) if raw else DEFAULT_WORD_BUDGET
-
-
-def _word_ball(rank: int, radius: int):
-    """Words with sup-norm at most radius, in graded lexicographic order."""
-    for shell in range(radius + 1):
-        for v in itertools.product(range(-shell, shell + 1), repeat=rank):
-            if shell == 0 or max(abs(e) for e in v) == shell:
-                yield v
+#: `word_ball` under its former name here, which the traced wordball
+#: benchmark run reads
+_word_ball = word_ball
 
 
-def _check_budget(rank: int, radius: int):
-    count = (2 * radius + 1) ** rank
-    budget = _word_budget()
-    if count > budget:
-        raise BudgetExceededError(
-            f"word ball of size {count} exceeds the budget {budget}")
+def _steps(action) -> list[tuple[HomeoExpr, HomeoExpr]]:
+    """(g_i, g_i^-1) for each generator, on the lifts for circle actions:
+    the moves of `word_shells`."""
+    steps = []
+    for g in action.generators:
+        h = g.lift if isinstance(g, CircleHomeo) else g
+        steps.append((h, inverse(h)))
+    return steps
+
+
+def _word_values(action, x0: float, radius: int) -> array:
+    """g_v(x0) for every word v of the sup-norm ball, indexed by its
+    `word_shells` code.
+
+    The generators commute, so g_v is g_u followed by one generator step
+    per coordinate of v at the shell's norm, where u is v's neighbour in
+    the previous shell: every word costs one step evaluation (usually),
+    not a tree of |v| nodes.  Each step is evaluated at DEFAULT_EVAL_EPS.
+    """
+    rank = len(action.generators)
+    size = check_word_budget(rank, radius)
+    eps = DEFAULT_EVAL_EPS
+    # the zero word's value in every slot; evaluate rejects a non-finite x0
+    values = array("d", [evaluate(Identity(), x0, eps)]) * size
+    for codes, preds, moves in word_shells(rank, radius, _steps(action)):
+        for code, pred, move in zip(codes, preds, moves):
+            y = values[pred]
+            for h in move:
+                y = evaluate(h, y, eps)
+            values[code] = y
+    return values
 
 
 class ProbeVerdict(enum.Enum):
@@ -88,24 +102,18 @@ def orbit(action, x0: float, radius: int) -> OrbitSample:
     """Evaluate every word in the sup-norm ball at x0.
 
     Line actions return points on R; circle actions return angles in [0, 1).
-    Points are deduplicated at resolution 1e-12 and sorted.
+    Points are deduplicated at resolution 1e-12 (the smallest point
+    represents its cell) and sorted.
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    rank = len(action.generators)
-    _check_budget(rank, radius)
-    on_circle = _is_circle(action)
-    seen = {}
-    for v in _word_ball(rank, radius):
-        g = word_to_homeo(action, v)
-        y = evaluate(g, x0, DEFAULT_EVAL_EPS)
-        if on_circle:
-            y = frac(y)
+    values = _word_values(action, x0, radius)
+    points = []
+    cell = None
+    for y in sorted(map(frac, values) if _is_circle(action) else values):
         key = round(y / DEDUP_RESOLUTION)
-        if key not in seen:
-            seen[key] = y
-    return OrbitSample(points=tuple(sorted(seen.values())),
-                       radius=radius, base_point=x0)
+        if key != cell:
+            points.append(y)
+            cell = key
+    return OrbitSample(points=tuple(points), radius=radius, base_point=x0)
 
 
 def transitivity_probe(action, x0: float, eps: float, radius: int,
@@ -151,37 +159,56 @@ def wandering_probe(action, interval: tuple[float, float], radius: int,
     it entirely off itself; interval images are computed from the endpoints,
     which is valid because all maps are monotone.  REFUTES carries the
     violating word, re-verified at 10x tighter evaluation accuracy.
+
+    Words are screened as in `_word_values`, one step from their
+    neighbour, on a lower bound of g(a) and an upper bound of g(b) that
+    each step widens by the evaluation eps (the maps are increasing, so
+    the bounds hold for the exact images).  A word whose bounds lie eps
+    clear of the interval could not overlap it under direct evaluation
+    either; only the other words are evaluated directly from their trees.
     """
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError("interval must satisfy a < b")
     rank = len(action.generators)
-    _check_budget(rank, radius)
+    size = check_word_budget(rank, radius)
+    eps = DEFAULT_EVAL_EPS
+    a_lo = array("d", [a]) * size
+    b_hi = array("d", [b]) * size
     checked = 0
-    for v in _word_ball(rank, radius):
-        checked += 1
-        if all(e == 0 for e in v):
-            continue
-        g = word_to_homeo(action, v)
-        ga = evaluate(g, a, DEFAULT_EVAL_EPS)
-        gb = evaluate(g, b, DEFAULT_EVAL_EPS)
-        overlaps = ga < b and gb > a
-        if not overlaps:
-            continue
-        if _identity_on_interval(g, a, b, tol, DEFAULT_EVAL_EPS):
-            continue
-        # Certify the violation at 10x tighter accuracy before reporting.
-        fine = DEFAULT_EVAL_EPS / 10.0
-        ga_f = evaluate(g, a, fine)
-        gb_f = evaluate(g, b, fine)
-        if not (ga_f < b and gb_f > a):
-            continue
-        if _identity_on_interval(g, a, b, tol, fine):
-            continue
-        return ProbeReport(
-            verdict=ProbeVerdict.REFUTES, coverage=checked / (2 * radius + 1) ** rank,
-            parameters={"interval": [a, b], "radius": radius, "tol": tol},
-            certificate={"word": list(v), "image": [ga_f, gb_f]})
+    for codes, preds, moves in word_shells(rank, radius, _steps(action)):
+        for code, pred, move in zip(codes, preds, moves):
+            checked += 1
+            if not move:
+                continue    # the zero word
+            lo, hi = a_lo[pred], b_hi[pred]
+            for h in move:
+                lo = evaluate(h, lo, eps) - eps
+                hi = evaluate(h, hi, eps) + eps
+            a_lo[code], b_hi[code] = lo, hi
+            if lo - eps >= b or hi + eps <= a:
+                continue
+            v = word_of(code, rank, radius)
+            g = word_to_homeo(action, v)
+            ga = evaluate(g, a, eps)
+            gb = evaluate(g, b, eps)
+            overlaps = ga < b and gb > a
+            if not overlaps:
+                continue
+            if _identity_on_interval(g, a, b, tol, eps):
+                continue
+            # Certify the violation at 10x tighter accuracy before reporting.
+            fine = eps / 10.0
+            ga_f = evaluate(g, a, fine)
+            gb_f = evaluate(g, b, fine)
+            if not (ga_f < b and gb_f > a):
+                continue
+            if _identity_on_interval(g, a, b, tol, fine):
+                continue
+            return ProbeReport(
+                verdict=ProbeVerdict.REFUTES, coverage=checked / size,
+                parameters={"interval": [a, b], "radius": radius, "tol": tol},
+                certificate={"word": list(v), "image": [ga_f, gb_f]})
     return ProbeReport(verdict=ProbeVerdict.SUPPORTS, coverage=1.0,
                        parameters={"interval": [a, b], "radius": radius,
                                    "tol": tol})

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from .circle import CircleHomeo, circular_distance, frac
 from .errors import (DomainError, HasFixedPointError, PrecisionError,
                      RationalRotationError, OrbitTieWarning)
-from .expr import (HomeoExpr, Identity, PiecewiseMonotone, _register,
-                   evaluate, inverse)
+from .expr import HomeoExpr, PiecewiseMonotone, _register, evaluate, inverse
 
 TIE_RESOLUTION = 1e-12
 
