@@ -23,6 +23,17 @@ def frac(x: float) -> float:
     return x - math.floor(x)
 
 
+def merge_sorted(values, resolution: float) -> list[float]:
+    """The values in increasing order, each dropped when it lies less than
+    resolution above the last value kept."""
+    out: list[float] = []
+    for v in sorted(values):
+        if out and v - out[-1] < resolution:
+            continue
+        out.append(v)
+    return out
+
+
 def circular_distance(a: float, b: float) -> float:
     """Distance between two angles on R/Z."""
     d = frac(a - b)

@@ -13,9 +13,9 @@ a homeomorphism from R onto (0, 1), with inverse tan(pi*(y - 1/2)).
 
 from __future__ import annotations
 
-import bisect
-import math
+from bisect import bisect_right
 from fractions import Fraction
+from math import atan, floor, isfinite, pi, tan
 
 from .errors import DomainError, PrecisionError
 
@@ -105,17 +105,25 @@ def evaluate(h: HomeoExpr, x, eps: float = DEFAULT_EPS) -> float:
     Raises DomainError if x is outside the domain of h and PrecisionError
     if the requested accuracy is unattainable (inverse bisection budget,
     or arguments inside the chart guard band).
+
+    This is the one public entry point and validates eps and x.  Nodes call
+    their children's `_eval` directly where the argument is finite by
+    construction, and `Compose` checks the intermediate values itself.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"non-finite evaluation point {x!r}")
+    if not isfinite(x):
+        raise _non_finite(x)
     return h._eval(x, eps)
 
 
+def _non_finite(x: float) -> DomainError:
+    return DomainError(f"non-finite evaluation point {x!r}")
+
+
 def _hbar(x: float) -> float:
-    return math.atan(x) / math.pi + 0.5
+    return atan(x) / pi + 0.5
 
 
 def _hbar_inv(y: float, eps: float) -> float:
@@ -125,13 +133,13 @@ def _hbar_inv(y: float, eps: float) -> float:
         # Clamping to the guard band would move the output by roughly
         # derivative * |shift|; fail loudly unless that is below eps.
         yc = min(max(y, BOUNDARY_DELTA), 1.0 - BOUNDARY_DELTA)
-        t = math.tan(math.pi * (yc - 0.5))
-        drift = math.pi * (1.0 + t * t) * abs(yc - y)
+        t = tan(pi * (yc - 0.5))
+        drift = pi * (1.0 + t * t) * abs(yc - y)
         if drift > eps:
             raise PrecisionError(
                 f"argument {y!r} is within {BOUNDARY_DELTA} of the chart boundary")
         return t
-    return math.tan(math.pi * (y - 0.5))
+    return tan(pi * (y - 0.5))
 
 
 @_register
@@ -266,7 +274,7 @@ def _cell_core(inner: HomeoExpr, t: float, eps: float) -> float:
                 f"certify accuracy {eps!r}")
         t = min(max(t, BOUNDARY_DELTA), 1.0 - BOUNDARY_DELTA)
     u = _hbar_inv(t, eps)
-    return _hbar(evaluate(inner, u, eps))
+    return _hbar(inner._eval(u, eps))
 
 
 @_register
@@ -284,7 +292,7 @@ class UnitCellHat(HomeoExpr):
         self.approximate = inner.approximate
 
     def _eval(self, x, eps):
-        i = math.floor(x)
+        i = floor(x)
         if x == i:
             return x
         return i + _cell_core(self.inner, x - i, eps)
@@ -326,7 +334,7 @@ class ArcHat(HomeoExpr):
         self.approximate = inner.approximate
 
     def _eval(self, x, eps):
-        m = math.floor(x - self.lo)
+        m = floor(x - self.lo)
         t = x - self.lo - m
         u = t / self._len
         if u <= 0.0 or u >= 1.0:
@@ -368,15 +376,6 @@ def _pchip_endpoint(h0, h1, d0, d1):
     return t
 
 
-def _hermite(y0, y1, d0, d1, h, s):
-    s2 = s * s
-    s3 = s2 * s
-    return (y0 * (2.0 * s3 - 3.0 * s2 + 1.0)
-            + h * d0 * (s3 - 2.0 * s2 + s)
-            + y1 * (-2.0 * s3 + 3.0 * s2)
-            + h * d1 * (s3 - s2))
-
-
 @_register
 class PiecewiseMonotone(HomeoExpr):
     """Monotone interpolant through strictly increasing breakpoints.
@@ -392,7 +391,7 @@ class PiecewiseMonotone(HomeoExpr):
     """
 
     __slots__ = ("xs", "ys", "interpolation", "extension",
-                 "_tangents", "_lo_slope", "_hi_slope")
+                 "_segments", "_lo_slope", "_hi_slope")
     kind = "piecewise_monotone"
 
     def __init__(self, xs, ys, interpolation="cubic", extension="linear"):
@@ -417,7 +416,10 @@ class PiecewiseMonotone(HomeoExpr):
         self.ys = ys
         self.interpolation = interpolation
         self.extension = extension
-        self._tangents = self._compute_tangents() if interpolation == "cubic" else None
+        # Linear tables compute each segment from xs and ys: the long linear
+        # tables built by approximate_poincare_conjugacy would pay memory
+        # for a segment table and gain little from it.
+        self._segments = self._cubic_segments() if interpolation == "cubic" else None
         self._lo_slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
         self._hi_slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
 
@@ -447,26 +449,28 @@ class PiecewiseMonotone(HomeoExpr):
             tangents[i] = _pchip_interior(gaps[i - 1], gaps[i], secs[i - 1], secs[i])
         return tuple(tangents)
 
-    def _segment_value(self, i, x):
-        # Segment i runs from knot i to knot i+1; for the periodic wrap
-        # segment i == len(xs)-1 and the right knot is (xs[0]+1, ys[0]+1).
+    def _cubic_segments(self):
+        """(x0, h, y0, y1, h*d0, h*d1) for each segment, from knot i to
+        knot i+1; a periodic table ends with the wrap segment to
+        (xs[0]+1, ys[0]+1)."""
         xs, ys = self.xs, self.ys
-        if i == len(xs) - 1:
-            x1, y1 = xs[0] + 1.0, ys[0] + 1.0
-            d1 = self._tangents[0] if self._tangents else None
-        else:
-            x1, y1 = xs[i + 1], ys[i + 1]
-            d1 = self._tangents[i + 1] if self._tangents else None
-        x0, y0 = xs[i], ys[i]
-        if self.interpolation == "linear":
-            return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
-        h = x1 - x0
-        return _hermite(y0, y1, self._tangents[i], d1, h, (x - x0) / h)
+        d = self._compute_tangents()
+        n = len(xs)
+        segments = []
+        for i in range(n if self.extension == "periodic" else n - 1):
+            if i == n - 1:
+                x1, y1, d1 = xs[0] + 1.0, ys[0] + 1.0, d[0]
+            else:
+                x1, y1, d1 = xs[i + 1], ys[i + 1], d[i + 1]
+            h = x1 - xs[i]
+            segments.append((xs[i], h, ys[i], y1, h * d[i], h * d1))
+        return tuple(segments)
 
     def _eval(self, x, eps):
         xs, ys = self.xs, self.ys
-        if self.extension == "periodic":
-            m = math.floor(x - xs[0])
+        periodic = self.extension == "periodic"
+        if periodic:
+            m = floor(x - xs[0])
             t = x - m
             if t < xs[0]:
                 m -= 1
@@ -475,21 +479,41 @@ class PiecewiseMonotone(HomeoExpr):
                 m += 1
                 t = x - m
             if t >= xs[-1]:
-                return self._segment_value(len(xs) - 1, t) + m
-            i = bisect.bisect_right(xs, t) - 1
-            if i < 0:
-                i = 0
-            if t == xs[i]:
-                return ys[i] + m
-            return self._segment_value(i, t) + m
-        if x <= xs[0]:
-            return ys[0] + (x - xs[0]) * self._lo_slope
-        if x >= xs[-1]:
-            return ys[-1] + (x - xs[-1]) * self._hi_slope
-        i = bisect.bisect_right(xs, x) - 1
-        if x == xs[i]:
-            return ys[i]
-        return self._segment_value(i, x)
+                i = len(xs) - 1     # the wrap segment
+            else:
+                i = bisect_right(xs, t) - 1
+                if i < 0:
+                    i = 0
+                if t == xs[i]:
+                    return ys[i] + m
+        else:
+            if x <= xs[0]:
+                return ys[0] + (x - xs[0]) * self._lo_slope
+            if x >= xs[-1]:
+                return ys[-1] + (x - xs[-1]) * self._hi_slope
+            i = bisect_right(xs, x) - 1
+            if x == xs[i]:
+                return ys[i]
+            t = x
+        segments = self._segments
+        if segments is None:
+            x0, y0 = xs[i], ys[i]
+            if i == len(xs) - 1:
+                x1, y1 = xs[0] + 1.0, ys[0] + 1.0
+            else:
+                x1, y1 = xs[i + 1], ys[i + 1]
+            v = y0 + (t - x0) * (y1 - y0) / (x1 - x0)
+        else:
+            # Cubic Hermite form on the segment, s in [0, 1).
+            x0, h, y0, y1, hd0, hd1 = segments[i]
+            s = (t - x0) / h
+            s2 = s * s
+            s3 = s2 * s
+            v = (y0 * (2.0 * s3 - 3.0 * s2 + 1.0)
+                 + hd0 * (s3 - 2.0 * s2 + s)
+                 + y1 * (-2.0 * s3 + 3.0 * s2)
+                 + hd1 * (s3 - s2))
+        return v + m if periodic else v
 
     def structural_inverse(self):
         if self.interpolation == "linear":
@@ -539,19 +563,34 @@ class Compose(HomeoExpr):
         self.approximate = approximate
 
     def _eval(self, x, eps):
+        # A member can overflow to an infinite value, so each member's
+        # argument is checked as `evaluate` checks it before the member's
+        # `_eval` is called directly.
         if not self.approximate:
             for h in reversed(self.members):
-                x = evaluate(h, x, eps)
+                if not isfinite(x):
+                    raise _non_finite(x)
+                x = h._eval(x, eps)
             return x
         share = eps / (2 * sum(1 for h in self.members if h.approximate))
         for _ in range(ENCLOSURE_MAX_ROUNDS):
             lo = hi = x
             for h in reversed(self.members):
-                e = share if h.approximate else eps
-                if lo == hi:
-                    lo = hi = evaluate(h, lo, e)
+                if h.approximate:
+                    if share <= 0.0:    # a share of a tiny eps underflows
+                        raise ValueError("eps must be positive")
+                    e = share
                 else:
-                    lo, hi = evaluate(h, lo, e), evaluate(h, hi, e)
+                    e = eps
+                if not isfinite(lo):
+                    raise _non_finite(lo)
+                if lo == hi:
+                    lo = hi = h._eval(lo, e)
+                else:
+                    lo = h._eval(lo, e)
+                    if not isfinite(hi):
+                        raise _non_finite(hi)
+                    hi = h._eval(hi, e)
                 if h.approximate:
                     lo, hi = lo - share, hi + share
             width = hi - lo
@@ -590,7 +629,7 @@ class Inverse(HomeoExpr):
 
     def _eval(self, x, eps):
         if self._structural is not None:
-            return evaluate(self._structural, x, eps)
+            return self._structural._eval(x, eps)
         return _bisect_inverse(self.inner, x, eps)
 
     def structural_inverse(self):
@@ -606,12 +645,19 @@ class Inverse(HomeoExpr):
 
 
 def _bisect_inverse(h: HomeoExpr, y: float, eps: float) -> float:
-    """Solve h(x) = y for increasing h: R -> R by bracketing bisection."""
+    """Solve h(x) = y for increasing h: R -> R by bracketing bisection.
+
+    For finite y every point h is evaluated at is finite: the bracket moves
+    at most 2**81 from y, and a midpoint is only taken while hi - lo > eps,
+    which needs |y| far below the overflow threshold.
+    """
     feval = eps * 1e-2
+    if feval <= 0.0:
+        raise ValueError("eps must be positive")
     lo, hi = y - 1.0, y + 1.0
     step = 1.0
     for _ in range(80):
-        if evaluate(h, lo, feval) <= y:
+        if h._eval(lo, feval) <= y:
             break
         step *= 2.0
         lo -= step
@@ -619,7 +665,7 @@ def _bisect_inverse(h: HomeoExpr, y: float, eps: float) -> float:
         raise PrecisionError("failed to bracket the inverse from below")
     step = 1.0
     for _ in range(80):
-        if evaluate(h, hi, feval) >= y:
+        if h._eval(hi, feval) >= y:
             break
         step *= 2.0
         hi += step
@@ -629,7 +675,7 @@ def _bisect_inverse(h: HomeoExpr, y: float, eps: float) -> float:
         if hi - lo <= eps:
             return 0.5 * (lo + hi)
         mid = 0.5 * (lo + hi)
-        if evaluate(h, mid, feval) < y:
+        if h._eval(mid, feval) < y:
             lo = mid
         else:
             hi = mid

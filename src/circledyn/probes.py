@@ -15,7 +15,7 @@ import warnings
 from array import array
 from dataclasses import dataclass, field
 
-from .circle import CircleHomeo, DEFAULT_EVAL_EPS, frac
+from .circle import CircleHomeo, DEFAULT_EVAL_EPS, frac, merge_sorted
 from .errors import NonIsolatedFixedPointsWarning
 from .expr import HomeoExpr, Identity, evaluate, inverse
 from .groups import (check_word_budget, word_ball, word_of, word_shells,
@@ -102,17 +102,17 @@ def orbit(action, x0: float, radius: int) -> OrbitSample:
     """Evaluate every word in the sup-norm ball at x0.
 
     Line actions return points on R; circle actions return angles in [0, 1).
-    Points are deduplicated at resolution 1e-12 (the smallest point
-    represents its cell) and sorted.
+    Points are sorted, and a point less than DEDUP_RESOLUTION above the
+    last point kept is merged into it; on the circle the largest angle is
+    also merged into the smallest when they are that close across 0.
     """
     values = _word_values(action, x0, radius)
-    points = []
-    cell = None
-    for y in sorted(map(frac, values) if _is_circle(action) else values):
-        key = round(y / DEDUP_RESOLUTION)
-        if key != cell:
-            points.append(y)
-            cell = key
+    circle = _is_circle(action)
+    points = merge_sorted(map(frac, values) if circle else values,
+                          DEDUP_RESOLUTION)
+    if (circle and len(points) > 1
+            and (1.0 - points[-1]) + points[0] < DEDUP_RESOLUTION):
+        points.pop()
     return OrbitSample(points=tuple(points), radius=radius, base_point=x0)
 
 

@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .circle import CircleHomeo, circular_distance, frac
+from .circle import CircleHomeo, circular_distance, frac, merge_sorted
 from .errors import (DomainError, HasFixedPointError, PrecisionError,
                      RationalRotationError, OrbitTieWarning)
 from .expr import HomeoExpr, PiecewiseMonotone, _register, evaluate, inverse
@@ -37,38 +37,17 @@ class RotationEstimate:
                 "iterations": self.iterations, "base_point": self.base_point}
 
 
-def _reduced_orbit(f: CircleHomeo, x0: float, n: int, step_eps: float,
-                   collect: bool = False):
-    """Iterate the normalized lift on reduced angles, tracking the deck
-    count exactly.  Returns (angles or None, deck_total, final_angle)."""
-    lift = f.lift
-    y = frac(x0)
-    start = y
-    deck = 0
-    angles = [y] if collect else None
-    for k in range(n):
-        z = evaluate(lift, y, step_eps)
-        m = math.floor(z)
-        y = z - m
-        if y >= 1.0:   # guard against floating wrap at the cell edge
-            y -= 1.0
-            m += 1
-        deck += m
-        if collect and k < n - 1:
-            angles.append(y)
-    return angles, deck, y, start
-
-
 #: Per-step accuracy attainable for reduced angles (a few ulps at |y| <= 2).
 _STEP_EPS_FLOOR = 5e-16
 
 
-def rotation_number(f: CircleHomeo, N: int, x0: float = 0.0) -> RotationEstimate:
-    """Estimate the rotation number of f from N iterations at base point x0.
+def _reduced_orbit(f: CircleHomeo, N: int, x0: float, collect: bool):
+    """The orbit pass of `rotation_number`: iterate the normalized lift N
+    times on reduced angles, tracking the deck count exactly.  Returns the
+    estimate, and the N orbit angles when collect is set.
 
-    Iterates with per-step accuracy 1/(10 N^2) so the accumulated evaluation
-    error stays below a tenth of the 1/N bound; raises PrecisionError when
-    that per-step accuracy is below what float evaluation can deliver.
+    The base point is validated here, once; every later angle is a finite
+    float in [0, 1), so the loop calls the lift's `_eval` directly.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -77,20 +56,45 @@ def rotation_number(f: CircleHomeo, N: int, x0: float = 0.0) -> RotationEstimate
         raise PrecisionError(
             f"per-step accuracy {step_eps:.2e} for N={N} is below the "
             f"float64 floor {_STEP_EPS_FLOOR:.0e}")
-    _, deck, y, start = _reduced_orbit(f, x0, N, step_eps)
+    # compares int and Fraction base points exactly, without a float
+    # conversion that could overflow
+    if not -math.inf < x0 < math.inf:
+        raise DomainError(f"non-finite base point {x0!r}")
+    step = f.lift._eval
+    start = frac(x0)
+    y = float(start)
+    deck = 0
+    angles = [start] if collect else None
+    for k in range(N):
+        z = step(y, step_eps)
+        m = math.floor(z)
+        y = z - m
+        if y >= 1.0:   # guard against floating wrap at the cell edge
+            y -= 1.0
+            m += 1
+        deck += m
+        if collect and k < N - 1:
+            angles.append(y)
     total = deck + (y - start)
-    return RotationEstimate(value=frac(total / N), error_bound=1.0 / N,
-                            iterations=N, base_point=x0)
+    est = RotationEstimate(value=frac(total / N), error_bound=1.0 / N,
+                           iterations=N, base_point=x0)
+    return est, angles
+
+
+def rotation_number(f: CircleHomeo, N: int, x0: float = 0.0) -> RotationEstimate:
+    """Estimate the rotation number of f from N iterations at base point x0.
+
+    Iterates with per-step accuracy 1/(10 N^2) so the accumulated evaluation
+    error stays below a tenth of the 1/N bound; raises PrecisionError when
+    that per-step accuracy is below what float evaluation can deliver, and
+    DomainError for a non-finite base point.
+    """
+    return _reduced_orbit(f, N, x0, collect=False)[0]
 
 
 def _sorted_unique(values: list[float], what: str) -> list[float]:
-    out: list[float] = []
-    dropped = 0
-    for v in sorted(values):
-        if out and v - out[-1] < TIE_RESOLUTION:
-            dropped += 1
-            continue
-        out.append(v)
+    out = merge_sorted(values, TIE_RESOLUTION)
+    dropped = len(values) - len(out)
     if dropped:
         warnings.warn(f"merged {dropped} numerically tied {what} points",
                       OrbitTieWarning, stacklevel=3)
@@ -251,7 +255,8 @@ def approximate_poincare_conjugacy(f: CircleHomeo, N: int, x0: float = 0.0, *,
     h(p_k) + alpha; it shrinks as N grows when f is minimal.
 
     Raises RationalRotationError when the estimate is consistent with a
-    rational of denominator at most q_max.  The default q_max scales as
+    rational of denominator at most q_max, and DomainError for a non-finite
+    base point.  The default q_max scales as
     sqrt(N)/2 (capped at 1000): an error bound of 1/N can only separate the
     estimate from rationals with q below roughly sqrt(N), since every
     irrational sits within 1/N of some p/q with q <= sqrt(N) (Dirichlet).
@@ -260,13 +265,12 @@ def approximate_poincare_conjugacy(f: CircleHomeo, N: int, x0: float = 0.0, *,
         raise ValueError("N must be at least 10")
     if q_max is None:
         q_max = max(1, min(1000, math.isqrt(N) // 2))
-    est = rotation_number(f, N, x0)
+    # One orbit pass gives both the estimate and the orbit to match.
+    est, angles = _reduced_orbit(f, N, x0, collect=True)
     hit = rational_screen(est.value, est.error_bound, q_max)
     if hit is not None:
         raise RationalRotationError(hit[0], hit[1])
     alpha = est.value
-    step_eps = max(1.0 / (10.0 * N * N), 1e-15)
-    angles, _, _, _ = _reduced_orbit(f, x0, N, step_eps, collect=True)
     targets = []
     t = 0.0
     for _ in range(N):
