@@ -14,8 +14,8 @@ from .euler import (CochainTable, CocycleTable, GroupLaw, coboundary,
                     cocycle_identity_check, cocycle_value, cyclic_group_law,
                     euler_cocycle_table, rational_class_table, sigma_section,
                     to_homogeneous, to_inhomogeneous, word_group_law)
-from .expr import (Affine, ArcHat, Compose, HBar, HBarInv, HomeoExpr,
-                   Identity, Inverse, PiecewiseMonotone, Translate,
+from .expr import (Affine, ArcHat, CellHat, Compose, HBar, HBarInv,
+                   HomeoExpr, Identity, Inverse, PiecewiseMonotone, Translate,
                    UnitCellHat, compose_all, evaluate, expr_from_jsonable,
                    expr_to_jsonable, inverse, power)
 from .groups import (CircleZnAction, ConjugacyReport, ConjugacyWitness,
@@ -34,7 +34,8 @@ from .rotnum import (RotationEstimate, TranslationConjugacy,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Affine", "ArcHat", "CfExpansion", "CircleHomeo", "CircleZnAction",
+    "Affine", "ArcHat", "CellHat", "CfExpansion", "CircleHomeo",
+    "CircleZnAction",
     "CochainTable", "CocycleTable", "Compose", "ConjugacyReport",
     "ConjugacyWitness", "Gl2zMatrix", "GroupLaw", "HBar", "HBarInv",
     "HomeoExpr", "Identity", "Inverse", "OrbitSample", "PiecewiseMonotone",

@@ -261,101 +261,100 @@ class HBarInv(HomeoExpr):
 HAT_CLAMP_TOL = 1e-13
 
 
-def _cell_core(inner: HomeoExpr, t: float, eps: float) -> float:
-    # Transplant of inner through the chart: hbar(inner(hbar^{-1}(t))).
-    # hbar is a contraction (derivative <= 1/pi), so inner's error shrinks.
-    # Unlike bare HBarInv, wall-adjacent arguments are clamped into the safe
-    # band: the transplant's displacement vanishes at the walls, so the
-    # clamp shifts the value by far less than any eps above HAT_CLAMP_TOL.
-    if t < BOUNDARY_DELTA or t > 1.0 - BOUNDARY_DELTA:
-        if eps < HAT_CLAMP_TOL:
-            raise PrecisionError(
-                f"cell argument {t!r} is in the chart guard band; cannot "
-                f"certify accuracy {eps!r}")
-        t = min(max(t, BOUNDARY_DELTA), 1.0 - BOUNDARY_DELTA)
-    u = _hbar_inv(t, eps)
-    return _hbar(inner._eval(u, eps))
-
-
 @_register
-class UnitCellHat(HomeoExpr):
-    """Transplants inner onto each open unit cell (i, i+1); fixes integers.
+class CellHat(HomeoExpr):
+    """Transplants inner onto each cell (edges[j] + m, edges[j+1] + m), m an
+    integer, through the chart scaled to the cell; identity elsewhere.
 
-    On (i, i+1):  x -> hbar(inner(hbar^{-1}(x - i))) + i.
+    On the cell (lo + m, hi + m), with u = (x - lo - m) / (hi - lo):
+        x -> lo + m + (hi - lo) * hbar(inner(hbar^{-1}(u))).
+    The edges increase strictly and span at most one unit, so the cells are
+    disjoint and the map commutes with the unit translation.  Every edge
+    edges[j] + m is fixed exactly, except the last one when it is not
+    edges[0] + 1: the chart guard-band clamp can move that wall by up to
+    about BOUNDARY_DELTA.
     """
 
-    __slots__ = ("inner", "approximate")
-    kind = "unit_cell_hat"
+    __slots__ = ("inner", "edges", "approximate", "_lo", "_width", "_search")
+    kind = "cell_hat"
 
-    def __init__(self, inner: HomeoExpr):
+    def __init__(self, inner: HomeoExpr, edges):
+        edges = tuple(float(e) for e in edges)
+        if not (len(edges) >= 2 and all(a < b for a, b in zip(edges, edges[1:]))
+                and edges[-1] - edges[0] <= 1.0):
+            raise ValueError("cell edges must be at least two, strictly "
+                             "increasing and span at most one unit")
         self.inner = inner
+        self.edges = edges
         self.approximate = inner.approximate
+        # the first cell, and whether there are others to search
+        self._lo, self._width = edges[0], edges[1] - edges[0]
+        self._search = len(edges) > 2
 
     def _eval(self, x, eps):
-        i = floor(x)
-        if x == i:
+        lo = self._lo
+        d = x - lo
+        m = floor(d)
+        width = self._width
+        if self._search:
+            # the cell of x - m; a point in no cell gets the last one, where
+            # u below is >= 1
+            edges = self.edges
+            j = bisect_right(edges, x - m, 1, len(edges) - 1) - 1
+            if j:
+                lo = edges[j]
+                width = edges[j + 1] - lo
+                d = x - lo
+                m = floor(d)
+        u = (d - m) / width
+        if not 0.0 < u < 1.0:
             return x
-        return i + _cell_core(self.inner, x - i, eps)
+        # hbar has slope <= 1/pi and the cell width is <= 1, so inner's error
+        # shrinks.  Unlike bare HBarInv, u next to a wall is clamped into the
+        # chart's safe band: the displacement vanishes at the walls, so the
+        # clamp moves the value by far less than any eps above HAT_CLAMP_TOL.
+        if u < BOUNDARY_DELTA or u > 1.0 - BOUNDARY_DELTA:
+            if eps < HAT_CLAMP_TOL:
+                raise PrecisionError(
+                    f"cell argument {u!r} is in the chart guard band; cannot "
+                    f"certify accuracy {eps!r}")
+            u = min(max(u, BOUNDARY_DELTA), 1.0 - BOUNDARY_DELTA)
+        v = atan(self.inner._eval(tan(pi * (u - 0.5)), eps)) / pi + 0.5
+        return lo + m + v * width
 
     def structural_inverse(self):
-        return UnitCellHat(inverse(self.inner))
-
-    def children(self):
-        return (self.inner,)
-
-    @classmethod
-    def _from_payload(cls, payload, children):
-        (inner,) = children
-        return cls(inner)
-
-
-@_register
-class ArcHat(HomeoExpr):
-    """Transplants inner onto the cells (lo + m, hi + m) for every integer m,
-    through the chart scaled to the cell; identity everywhere else.
-
-    Requires 0 < hi - lo <= 1 so the cell family is disjoint and the map
-    commutes with the unit translation.  ArcHat(inner, 0, 1) coincides with
-    UnitCellHat(inner).
-    """
-
-    __slots__ = ("inner", "lo", "hi", "_len", "approximate")
-    kind = "arc_hat"
-
-    def __init__(self, inner: HomeoExpr, lo: float, hi: float):
-        lo = float(lo)
-        hi = float(hi)
-        if not 0.0 < hi - lo <= 1.0:
-            raise ValueError("arc length must lie in (0, 1]")
-        self.inner = inner
-        self.lo = lo
-        self.hi = hi
-        self._len = hi - lo
-        self.approximate = inner.approximate
-
-    def _eval(self, x, eps):
-        m = floor(x - self.lo)
-        t = x - self.lo - m
-        u = t / self._len
-        if u <= 0.0 or u >= 1.0:
-            return x
-        # The cell value is scaled by len <= 1, so its error only shrinks.
-        v = _cell_core(self.inner, u, eps)
-        return self.lo + m + v * self._len
-
-    def structural_inverse(self):
-        return ArcHat(inverse(self.inner), self.lo, self.hi)
+        return CellHat(inverse(self.inner), self.edges)
 
     def children(self):
         return (self.inner,)
 
     def payload(self):
-        return {"lo": self.lo, "hi": self.hi}
+        return {"edges": list(self.edges)}
+
+    def _key(self):
+        return (self.kind, self.edges, self.inner)
 
     @classmethod
     def _from_payload(cls, payload, children):
         (inner,) = children
-        return cls(inner, payload["lo"], payload["hi"])
+        return cls(inner, payload["edges"])
+
+
+def UnitCellHat(inner: HomeoExpr) -> CellHat:
+    """inner transplanted onto each unit cell (i, i+1); fixes the integers."""
+    return CellHat(inner, (0.0, 1.0))
+
+
+def ArcHat(inner: HomeoExpr, lo, hi) -> CellHat:
+    """inner transplanted onto the cells (lo + m, hi + m), 0 < hi - lo <= 1."""
+    return CellHat(inner, (lo, hi))
+
+
+#: Kinds earlier versions wrote, still loaded: (payload, children) -> node
+_LOAD_ONLY_KINDS = {
+    "unit_cell_hat": lambda p, kids: UnitCellHat(*kids),
+    "arc_hat": lambda p, kids: ArcHat(*kids, p["lo"], p["hi"]),
+}
 
 
 def _pchip_interior(h0, h1, d0, d1):
@@ -595,7 +594,7 @@ class Compose(HomeoExpr):
                     lo, hi = lo - share, hi + share
             width = hi - lo
             if width <= 2.0 * eps:
-                return 0.5 * (lo + hi)
+                return 0.5 * lo + 0.5 * hi     # no overflow near the largest float
             share *= eps / width
         raise PrecisionError(f"composition did not reach eps={eps!r} in "
                              f"{ENCLOSURE_MAX_ROUNDS} rounds (width {width!r})")
@@ -649,7 +648,9 @@ def _bisect_inverse(h: HomeoExpr, y: float, eps: float) -> float:
 
     For finite y every point h is evaluated at is finite: the bracket moves
     at most 2**81 from y, and a midpoint is only taken while hi - lo > eps,
-    which needs |y| far below the overflow threshold.
+    which needs |y| far below the overflow threshold.  Midpoints are taken
+    as 0.5*lo + 0.5*hi, which equals 0.5*(lo + hi) but cannot overflow when
+    lo and hi lie near the largest float.
     """
     feval = eps * 1e-2
     if feval <= 0.0:
@@ -672,9 +673,9 @@ def _bisect_inverse(h: HomeoExpr, y: float, eps: float) -> float:
     else:
         raise PrecisionError("failed to bracket the inverse from above")
     for _ in range(BISECT_MAX_ITER):
+        mid = 0.5 * lo + 0.5 * hi
         if hi - lo <= eps:
-            return 0.5 * (lo + hi)
-        mid = 0.5 * (lo + hi)
+            return mid
         if h._eval(mid, feval) < y:
             lo = mid
         else:
@@ -707,10 +708,8 @@ def power(h: HomeoExpr, k: int) -> HomeoExpr:
             return Translate(b * k)
         scale = a ** k
         return Affine(scale, b * (scale - 1) / (a - 1))
-    if isinstance(h, UnitCellHat):
-        return UnitCellHat(power(h.inner, k))
-    if isinstance(h, ArcHat):
-        return ArcHat(power(h.inner, k), h.lo, h.hi)
+    if isinstance(h, CellHat):
+        return CellHat(power(h.inner, k), h.edges)
     return h if k == 1 else Compose(*[h] * k)
 
 
@@ -736,8 +735,9 @@ def expr_to_jsonable(h: HomeoExpr) -> dict:
 def expr_from_jsonable(doc: dict) -> HomeoExpr:
     kind = doc.get("kind")
     cls = _NODE_REGISTRY.get(kind)
-    if cls is None:
+    load = cls._from_payload if cls is not None else _LOAD_ONLY_KINDS.get(kind)
+    if load is None:
         raise ValueError(f"unknown expression node kind {kind!r}")
     children = tuple(expr_from_jsonable(c) for c in doc.get("children", ()))
     payload = {k: v for k, v in doc.items() if k not in ("kind", "children")}
-    return cls._from_payload(payload, children)
+    return load(payload, children)

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .circle import CircleHomeo, DEFAULT_EVAL_EPS, project
 from .errors import BudgetExceededError, NotPrimitiveError, RangeError
-from .expr import (ArcHat, Compose, HomeoExpr, Identity, Translate,
+from .expr import (CellHat, Compose, HomeoExpr, Identity, Translate,
                    UnitCellHat, compose_all, evaluate, inverse, power)
 from .quadirr import QuadIrrational, gl2z_equivalent
 
@@ -196,13 +196,6 @@ def word_to_homeo(action, v) -> HomeoExpr:
     return compose_all(parts)
 
 
-def _arc_transplant(inner: HomeoExpr, k: int) -> HomeoExpr:
-    """Transplant inner onto every arc (i/k, (i+1)/k) mod 1 via the scaled
-    chart.  Arc endpoints use the same floats as the marked angles, so the
-    marked points are fixed exactly."""
-    return compose_all([ArcHat(inner, i / k, (i + 1) / k) for i in range(k)])
-
-
 def build_circle_action(alpha: QuadIrrational, n: int, k: int,
                         g_word) -> CircleZnAction:
     """The circle construction over (alpha, n, k, g).
@@ -225,10 +218,11 @@ def build_circle_action(alpha: QuadIrrational, n: int, k: int,
     # f = (correction on the first arc family) o (rigid rotation by 1/k):
     # the correction transplants g onto the arcs (1/k + m, 2/k + m), so
     # f^k restricted to the first arc equals the transplanted g exactly.
-    correction = ArcHat(g, 1.0 / k, 2.0 / k) if k > 1 else ArcHat(g, 1.0, 2.0)
-    f_lift = Compose(correction, Translate(Fraction(1, k)))
-    f = project(f_lift)
-    sigma_bars = tuple(project(_arc_transplant(gen, k)) for gen in base.generators)
+    f = project(Compose(CellHat(g, (1 / k, 2 / k)), Translate(Fraction(1, k))))
+    # every generator transplanted onto the arcs (i/k, (i+1)/k) mod 1, whose
+    # edges are the marked angles' floats i/k, so the marked points stay put
+    edges = [i / k for i in range(k + 1)]
+    sigma_bars = tuple(project(CellHat(gen, edges)) for gen in base.generators)
     return CircleZnAction(n=n, k=k, base=base, g_word=g_word, f=f,
                           generators=sigma_bars + (f,), marked_angles=marked)
 

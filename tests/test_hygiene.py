@@ -1,12 +1,14 @@
 """Source hygiene of the package, checked on its syntax trees: every import
 is from the standard library or from circledyn itself, and every imported
-name is used."""
+name is used.  The README's schema table lists every expression kind."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import circledyn
+from circledyn import expr
 
 PACKAGE = Path(circledyn.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -74,3 +76,13 @@ def test_every_imported_name_is_used():
         unused += [f"{path.name}:{line} {name}"
                    for _, name, line in _imports(tree) if name not in used]
     assert unused == []
+
+
+def test_readme_lists_every_expression_kind():
+    # the kinds expr_to_jsonable writes, and the load-only kinds that
+    # earlier versions wrote
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    table = readme.split("**Expression trees**", 1)[1].split("\n\n**", 1)[0]
+    listed = re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(expr._NODE_REGISTRY) | set(expr._LOAD_ONLY_KINDS)
