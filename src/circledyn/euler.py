@@ -10,6 +10,7 @@ asserted as a tested invariant, not assumed.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -130,7 +131,6 @@ def coboundary(table: CochainTable) -> CochainTable:
     k = table.degree
     if len(ids) ** (k + 2) > COBOUNDARY_BUDGET:
         raise ValueError("coboundary tabulation would exceed the budget")
-    import itertools
     out = {}
     for tup in itertools.product(ids, repeat=k + 2):
         total = 0
@@ -143,36 +143,34 @@ def coboundary(table: CochainTable) -> CochainTable:
 
 def to_inhomogeneous(table: CochainTable, law: GroupLaw) -> CochainTable:
     """c_bar(g1,...,gk) = c(e, g1, g1 g2, ..., g1...gk)."""
-    if table.flavor != "inhomogeneous":
-        import itertools
-        ids = table.universe()
-        k = table.degree
-        out = {}
-        for tup in itertools.product(ids, repeat=k):
-            prefix = [law.identity]
-            acc = law.identity
-            for g in tup:
-                acc = law.compose(acc, g)
-                prefix.append(acc)
-            out[tup] = table.value(tuple(prefix))
-        return CochainTable(degree=k, flavor="inhomogeneous", entries=out)
-    return table
+    if table.flavor == "inhomogeneous":
+        return table
+    ids = table.universe()
+    k = table.degree
+    out = {}
+    for tup in itertools.product(ids, repeat=k):
+        prefix = [law.identity]
+        acc = law.identity
+        for g in tup:
+            acc = law.compose(acc, g)
+            prefix.append(acc)
+        out[tup] = table.value(tuple(prefix))
+    return CochainTable(degree=k, flavor="inhomogeneous", entries=out)
 
 
 def to_homogeneous(table: CochainTable, law: GroupLaw) -> CochainTable:
     """c(g0,...,gk) = c_bar(g0^{-1} g1, ..., g_{k-1}^{-1} gk), tabulated over
     the universe of the inhomogeneous table."""
-    if table.flavor != "homogeneous":
-        import itertools
-        ids = table.universe()
-        k = table.degree
-        out = {}
-        for tup in itertools.product(ids, repeat=k + 1):
-            steps = tuple(law.compose(law.inverse(tup[i]), tup[i + 1])
-                          for i in range(k))
-            out[tup] = table.value(steps)
-        return CochainTable(degree=k, flavor="homogeneous", entries=out)
-    return table
+    if table.flavor == "homogeneous":
+        return table
+    ids = table.universe()
+    k = table.degree
+    out = {}
+    for tup in itertools.product(ids, repeat=k + 1):
+        steps = tuple(law.compose(law.inverse(tup[i]), tup[i + 1])
+                      for i in range(k))
+        out[tup] = table.value(steps)
+    return CochainTable(degree=k, flavor="homogeneous", entries=out)
 
 
 @dataclass(frozen=True)

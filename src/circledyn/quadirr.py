@@ -346,10 +346,10 @@ def gl2z_equivalent(x: QuadIrrational,
         W = _mat_mul(My, _mat_inverse_unimodular(Mx))
         # W acts as t -> (W00 t + W01) / (W10 t + W11)
         witness = Gl2zMatrix(m1=W[0][1], n1=W[0][0], m2=W[1][1], n2=W[1][0])
-        if mobius_apply(witness, x) == y:
-            return True, witness
-    if any(ex.period[s:] + ex.period[:s] == target for s in range(n)):
-        raise RuntimeError("tail match found but witness verification failed")
+        # the period is primitive, so no other rotation of it matches
+        if mobius_apply(witness, x) != y:
+            raise RuntimeError("tail match found but witness verification failed")
+        return True, witness
     return False, None
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from .circle import CircleHomeo, circular_distance, frac, merge_sorted
 from .errors import (DomainError, HasFixedPointError, PrecisionError,
                      RationalRotationError, OrbitTieWarning)
-from .expr import HomeoExpr, PiecewiseMonotone, _register, evaluate, inverse
+from .expr import (HomeoExpr, PiecewiseMonotone, _register, compose_all,
+                   evaluate, inverse)
 
 TIE_RESOLUTION = 1e-12
 
@@ -124,38 +125,56 @@ def rational_screen(value: float, bound: float,
             return (p, q)
 
 
-@_register
-class TranslationConjugacy(HomeoExpr):
-    """Conjugation of a fixed-point-free f (with f(0) > 0) to the unit
-    translation: on [f^n(0), f^(n+1)(0)) the value is phi(f^{-n}(x)) + n,
-    where phi maps [0, f(0)) onto [0, 1).  Evaluated lazily per point."""
+class _ConjugacyNode(HomeoExpr):
+    """The (f, phi) data shared by the conjugacy to the unit translation and
+    its inverse.  Both evaluate as one chain of f or its inverse and phi (or
+    its inverse) under `Compose`'s error enclosure."""
 
-    __slots__ = ("f", "phi", "_f_inv", "approximate")
-    kind = "translation_conjugacy"
-    _walk_cap = 100000
+    __slots__ = ("f", "phi", "_f_inv", "_phi", "approximate")
+    _phi_inverted = False   # whether the chain ends in phi or its inverse
 
     def __init__(self, f: HomeoExpr, phi: HomeoExpr):
         self.f = f
         self.phi = phi
         self._f_inv = inverse(f)
-        self.approximate = (f.approximate or phi.approximate
-                            or self._f_inv.approximate)
+        self._phi = inverse(phi) if self._phi_inverted else phi
+        self.approximate = (f.approximate or self._f_inv.approximate
+                            or self._phi.approximate)
+
+    def children(self):
+        return (self.f, self.phi)
+
+    @classmethod
+    def _from_payload(cls, payload, children):
+        f, phi = children
+        return cls(f, phi)
+
+
+@_register
+class TranslationConjugacy(_ConjugacyNode):
+    """Conjugation of a fixed-point-free f (with f(0) > 0) to the unit
+    translation: on [f^n(0), f^(n+1)(0)) the value is phi(f^{-n}(x)) + n,
+    where phi maps [0, f(0)) onto [0, 1).  Evaluated lazily per point."""
+
+    __slots__ = ()
+    kind = "translation_conjugacy"
+    _walk_cap = 100000
 
     def _locate(self, x: float, eps: float) -> int:
         """The integer n with f^n(0) <= x < f^(n+1)(0)."""
         if x >= 0.0:
             n = 0
-            hi = evaluate(self.f, 0.0, eps)
+            hi = self.f._eval(0.0, eps)
             while x >= hi:
-                hi = evaluate(self.f, hi, eps)
+                hi = self.f._eval(hi, eps)
                 n += 1
                 if n > self._walk_cap:
                     raise PrecisionError("orbit walk exceeded its budget")
             return n
         n = -1
-        lo = evaluate(self._f_inv, 0.0, eps)
+        lo = self._f_inv._eval(0.0, eps)
         while x < lo:
-            lo = evaluate(self._f_inv, lo, eps)
+            lo = self._f_inv._eval(lo, eps)
             n -= 1
             if -n > self._walk_cap:
                 raise PrecisionError("orbit walk exceeded its budget")
@@ -163,60 +182,29 @@ class TranslationConjugacy(HomeoExpr):
 
     def _eval(self, x, eps):
         n = self._locate(x, eps)
-        step_eps = eps / (2.0 * (abs(n) + 1))
-        t = x
         walker = self._f_inv if n > 0 else self.f
-        for _ in range(abs(n)):
-            t = evaluate(walker, t, step_eps)
-        return evaluate(self.phi, t, eps * 0.5) + n
+        return compose_all([self._phi] + [walker] * abs(n))._eval(x, eps) + n
 
     def structural_inverse(self):
         return _TranslationConjugacyInverse(self.f, self.phi)
 
-    def children(self):
-        return (self.f, self.phi)
-
-    @classmethod
-    def _from_payload(cls, payload, children):
-        f, phi = children
-        return cls(f, phi)
-
 
 @_register
-class _TranslationConjugacyInverse(HomeoExpr):
+class _TranslationConjugacyInverse(_ConjugacyNode):
     """Closed-form inverse of TranslationConjugacy:
     y in [n, n+1) -> f^n(phi^{-1}(y - n))."""
 
-    __slots__ = ("f", "phi", "_f_inv", "_phi_inv", "approximate")
+    __slots__ = ()
     kind = "translation_conjugacy_inverse"
-
-    def __init__(self, f: HomeoExpr, phi: HomeoExpr):
-        self.f = f
-        self.phi = phi
-        self._f_inv = inverse(f)
-        self._phi_inv = inverse(phi)
-        self.approximate = (f.approximate or self._f_inv.approximate
-                            or self._phi_inv.approximate)
+    _phi_inverted = True
 
     def _eval(self, x, eps):
         n = math.floor(x)
-        step_eps = eps / (2.0 * (abs(n) + 1))
-        t = evaluate(self._phi_inv, x - n, eps * 0.5)
         walker = self.f if n > 0 else self._f_inv
-        for _ in range(abs(n)):
-            t = evaluate(walker, t, step_eps)
-        return t
+        return compose_all([walker] * abs(n) + [self._phi])._eval(x - n, eps)
 
     def structural_inverse(self):
         return TranslationConjugacy(self.f, self.phi)
-
-    def children(self):
-        return (self.f, self.phi)
-
-    @classmethod
-    def _from_payload(cls, payload, children):
-        f, phi = children
-        return cls(f, phi)
 
 
 def conjugate_to_translation(f: HomeoExpr, phi: HomeoExpr, *,

@@ -9,7 +9,7 @@ from circledyn import (CochainTable, Compose, Translate, coboundary,
                        cyclic_group_law, euler_cocycle_table, evaluate,
                        identity_circle, project, rational_class_table,
                        rotation, sigma_section, sine_lift, to_homogeneous,
-                       to_inhomogeneous)
+                       to_inhomogeneous, word_group_law)
 from circledyn.errors import MissingFaceError
 
 
@@ -172,3 +172,24 @@ def test_conjugated_tables_differ_by_lift_discrepancy_coboundary():
                                    conj.compose(fb).compose(conj.inverse())))
             rhs = discrepancy(fa) - discrepancy(fab) + discrepancy(fb)
             assert lhs == rhs, (a, b)
+
+
+def test_flavor_conversions_over_z2_words():
+    law = word_group_law(2)
+    box = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+    assert law.compose((1, -2), law.inverse((1, -2))) == law.identity == (0, 0)
+    # a diagonal-invariant 1-cochain c(g0, g1) = phi(g1 - g0) over the box
+    phi = {g: 3 * g[0] - g[1] for g in [(a, b) for a in range(-4, 5)
+                                        for b in range(-4, 5)]}
+    hom = CochainTable(degree=1, flavor="homogeneous", entries={
+        (g0, g1): phi[law.compose(law.inverse(g0), g1)]
+        for g0 in box for g1 in box})
+    inhom = to_inhomogeneous(hom, law)
+    assert inhom.entries == {(g,): phi[g] for g in box}
+    # a table already in the target flavor comes back as it is
+    assert to_inhomogeneous(inhom, law) is inhom
+    assert to_homogeneous(hom, law) is hom
+    # the box is not closed under the law, so the way back needs faces
+    # g0^-1 g1 outside it, and says which one is missing
+    with pytest.raises(MissingFaceError, match="not tabulated"):
+        to_homogeneous(inhom, law)
