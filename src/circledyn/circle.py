@@ -10,12 +10,13 @@ import math
 from fractions import Fraction
 
 from .errors import NotALiftError
-from .expr import (Compose, HomeoExpr, Identity, Inverse, PiecewiseMonotone,
-                   Translate, evaluate, inverse, power)
+from .expr import (DEFAULT_EPS, Compose, HomeoExpr, Identity,
+                   PiecewiseMonotone, Translate, evaluate, inverse, power)
 
-DEFAULT_GRID = 64
-DEFAULT_TOL = 1e-9
-DEFAULT_EVAL_EPS = 1e-12
+CHECK_GRID = 64
+CHECK_TOL = 1e-9
+#: The former name of expr.DEFAULT_EPS, kept importable.
+DEFAULT_EVAL_EPS = DEFAULT_EPS
 
 
 def frac(x: float) -> float:
@@ -34,32 +35,37 @@ def merge_sorted(values, resolution: float) -> list[float]:
     return out
 
 
+def merge_circular(angles, resolution: float) -> list[float]:
+    """merge_sorted on R/Z: the largest angle kept is also dropped when it
+    lies less than resolution below the smallest one, across 0."""
+    out = merge_sorted(angles, resolution)
+    if len(out) > 1 and (1.0 - out[-1]) + out[0] < resolution:
+        out.pop()
+    return out
+
+
 def circular_distance(a: float, b: float) -> float:
     """Distance between two angles on R/Z."""
     d = frac(a - b)
     return min(d, 1.0 - d)
 
 
-def commutation_defect(F: HomeoExpr, grid: int = DEFAULT_GRID,
-                       eps: float = DEFAULT_EVAL_EPS) -> float:
-    """max |F(x+1) - F(x) - 1| over an equispaced grid in [0, 1)."""
-    worst = 0.0
-    for j in range(grid):
-        x = j / grid
-        worst = max(worst, abs(evaluate(F, x + 1.0, eps) - evaluate(F, x, eps) - 1.0))
-    return worst
+def _lift_defects(F: HomeoExpr) -> tuple[float, float, float]:
+    """One pass over the check grid x_j = j/CHECK_GRID, j = 0..CHECK_GRID-1:
+    the largest decrease along F(x_0), ..., F(x_63), F(1), the largest
+    |F(x_j + 1) - F(x_j) - 1|, and F(0)."""
+    xs = [j / CHECK_GRID for j in range(CHECK_GRID)]
+    below = [evaluate(F, x, DEFAULT_EPS) for x in xs]
+    above = [evaluate(F, x + 1.0, DEFAULT_EPS) for x in xs]
+    path = below + above[:1]
+    drops = [prev - cur for prev, cur in zip(path, path[1:])]
+    defects = [abs(hi - lo - 1.0) for lo, hi in zip(below, above)]
+    return max(0.0, *drops), max(0.0, *defects), below[0]
 
 
-def monotonicity_defect(F: HomeoExpr, grid: int = DEFAULT_GRID,
-                        eps: float = DEFAULT_EVAL_EPS) -> float:
-    """Largest decrease between consecutive grid evaluations on [0, 1]."""
-    worst = 0.0
-    prev = evaluate(F, 0.0, eps)
-    for j in range(1, grid + 1):
-        cur = evaluate(F, j / grid, eps)
-        worst = max(worst, prev - cur)
-        prev = cur
-    return worst
+def commutation_defect(F: HomeoExpr) -> float:
+    """max |F(x+1) - F(x) - 1| over the check grid in [0, 1)."""
+    return _lift_defects(F)[1]
 
 
 def exact_translation_offset(F: HomeoExpr):
@@ -74,29 +80,26 @@ def exact_translation_offset(F: HomeoExpr):
     if isinstance(F, Compose):
         offsets = [exact_translation_offset(h) for h in F.members]
         return None if None in offsets else sum(offsets)
-    if isinstance(F, Inverse):
-        t = exact_translation_offset(F.inner)
-        return None if t is None else -t
     return None
 
 
-def normalize_lift(F: HomeoExpr, *, grid: int = DEFAULT_GRID,
-                   tol: float = DEFAULT_TOL,
-                   eps: float = DEFAULT_EVAL_EPS) -> tuple[HomeoExpr, int]:
+def normalize_lift(F: HomeoExpr) -> tuple[HomeoExpr, int]:
     """Split F = Translate(n) . F0 with F0(0) in [0, 1) and n = floor(F(0)).
 
-    Raises NotALiftError if F fails the unit-translation commutation check.
+    The package's one lift check: raises NotALiftError when F decreases on
+    the check grid, and otherwise when its commutation defect exceeds
+    CHECK_TOL.
     """
-    defect = commutation_defect(F, grid, eps)
-    if defect > tol:
+    drop, defect, value0 = _lift_defects(F)
+    if drop > 0.0:
+        raise NotALiftError("expression is not increasing on the check grid")
+    if defect > CHECK_TOL:
         raise NotALiftError(
-            f"commutation defect {defect:.3e} exceeds tolerance {tol:.1e}")
+            f"commutation defect {defect:.3e} exceeds tolerance {CHECK_TOL:.1e}")
     offset = exact_translation_offset(F)
     if offset is not None:
         n = math.floor(offset)
-        reduced = offset - n
-        return Translate(reduced), int(n)
-    value0 = evaluate(F, 0.0, eps)
+        return Translate(offset - n), n
     n = math.floor(value0)
     if n == 0:
         return F, 0
@@ -105,20 +108,19 @@ def normalize_lift(F: HomeoExpr, *, grid: int = DEFAULT_GRID,
 
 class CircleHomeo:
     """Orientation-preserving circle homeomorphism stored as its normalized
-    lifting (value at 0 in [0, 1))."""
+    lifting (value at 0 in [0, 1)), checked by normalize_lift."""
 
     __slots__ = ("lift",)
 
-    def __init__(self, lift: HomeoExpr, *, grid: int = DEFAULT_GRID,
-                 tol: float = DEFAULT_TOL, _normalized: bool = False):
+    def __init__(self, lift: HomeoExpr, *, _normalized: bool = False):
         if not _normalized:
-            lift, _ = normalize_lift(lift, grid=grid, tol=tol)
+            lift, _ = normalize_lift(lift)
         self.lift = lift
 
-    def __call__(self, angle: float, eps: float = DEFAULT_EVAL_EPS) -> float:
+    def __call__(self, angle: float, eps: float = DEFAULT_EPS) -> float:
         return frac(evaluate(self.lift, frac(angle), eps))
 
-    def lift_value(self, x: float, eps: float = DEFAULT_EVAL_EPS) -> float:
+    def lift_value(self, x: float, eps: float = DEFAULT_EPS) -> float:
         return evaluate(self.lift, x, eps)
 
     def compose(self, other: "CircleHomeo") -> "CircleHomeo":
@@ -134,16 +136,10 @@ class CircleHomeo:
         return f"CircleHomeo({self.lift!r})"
 
 
-def project(F: HomeoExpr, *, grid: int = DEFAULT_GRID,
-            tol: float = DEFAULT_TOL) -> CircleHomeo:
-    """Declare F a lifting and return the induced circle homeomorphism.
-
-    Checks strict monotonicity on a grid and the commutation property;
-    raises NotALiftError on failure.
-    """
-    if monotonicity_defect(F, grid) > 0.0:
-        raise NotALiftError("expression is not increasing on the check grid")
-    return CircleHomeo(F, grid=grid, tol=tol)
+def project(F: HomeoExpr) -> CircleHomeo:
+    """Declare F a lifting and return the induced circle homeomorphism,
+    CircleHomeo(F); raises NotALiftError when F fails normalize_lift."""
+    return CircleHomeo(F)
 
 
 def rotation(angle) -> CircleHomeo:

@@ -19,6 +19,7 @@ import tempfile
 
 from .circle import CircleHomeo, project, sine_lift
 from .errors import CircledynError, RationalRotationError
+from .euler import euler_cocycle_table
 from .expr import (Affine, HomeoExpr, Identity, Translate,
                    expr_from_jsonable, expr_to_jsonable)
 from .groups import (CircleZnAction, ConjugacyWitness, ZnAction,
@@ -257,8 +258,6 @@ def _cmd_check_equiv(args) -> int:
 
 
 def _cmd_euler_cocycle(args) -> int:
-    from .euler import euler_cocycle_table
-
     action = action_from_bundle(_load_json(args.action))
     if getattr(action, "space", "line") != "circle":
         raise ValueError("the Euler cocycle needs a circle action bundle")
@@ -377,17 +376,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv, args):
+    """Parse again with the --config file's values appended as flags, so they
+    are converted and checked as flag text is.  Explicit flags win; null
+    values, and keys that name no option of the chosen command, are ignored."""
     if not args.config:
         return args
     with open(args.config) as handle:
         overrides = json.load(handle)
     explicit = {a.lstrip("-").split("=")[0].replace("-", "_")
                 for a in argv if a.startswith("--")}
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    options = {a.dest: a for a in commands.choices[args.command]._actions
+               if a.option_strings and hasattr(args, a.dest)}
+    extra = []
     for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and attr not in explicit:
-            setattr(args, attr, value)
-    return args
+        action = options.get(key.replace("-", "_"))
+        if action is None or action.dest in explicit or value is None:
+            continue
+        if action.nargs != 0 or not isinstance(value, bool):
+            extra.append(f"{action.option_strings[0]}={value}")
+        elif value:
+            extra.append(action.option_strings[0])
+    return parser.parse_args(argv + extra)
 
 
 def main(argv=None) -> int:

@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
-from .circle import CircleHomeo, project
+from .circle import CircleHomeo, project, rotation
 from .errors import EulerRangeWarning, MissingFaceError, NonIntegerCocycleError
 from .expr import HomeoExpr
 
@@ -223,9 +224,6 @@ def rational_class_table(k: int, residues) -> CocycleTable:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    from fractions import Fraction
-
-    from .circle import rotation
     elements = tuple((int(r) % k, rotation(Fraction(int(r) % k, k)))
                      for r in residues)
     return euler_cocycle_table(elements)

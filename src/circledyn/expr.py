@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from math import atan, floor, isfinite, pi, tan
+from math import atan, floor, fsum, isfinite, pi, tan
 
 from .errors import DomainError, PrecisionError
 
@@ -280,8 +280,10 @@ class CellHat(HomeoExpr):
 
     def __init__(self, inner: HomeoExpr, edges):
         edges = tuple(float(e) for e in edges)
+        # fsum rounds the exact edges[-1] - edges[0] - 1 correctly, so it keeps
+        # the sign that a float span rounded to 1.0 would lose
         if not (len(edges) >= 2 and all(a < b for a, b in zip(edges, edges[1:]))
-                and edges[-1] - edges[0] <= 1.0):
+                and fsum((edges[-1], -edges[0], -1.0)) <= 0.0):
             raise ValueError("cell edges must be at least two, strictly "
                              "increasing and span at most one unit")
         self.inner = inner
@@ -612,23 +614,17 @@ class Compose(HomeoExpr):
 
 @_register
 class Inverse(HomeoExpr):
-    """Formal inverse; evaluated by monotone bisection when no closed form
-    exists for the wrapped node."""
+    """Formal inverse, evaluated by monotone bisection.  `inverse` builds one
+    only for a node without a closed-form inverse."""
 
-    __slots__ = ("inner", "_structural", "approximate")
+    __slots__ = ("inner",)
     kind = "inverse"
+    approximate = True
 
     def __init__(self, inner: HomeoExpr):
         self.inner = inner
-        self._structural = inner.structural_inverse()
-        if self._structural is None:
-            self.approximate = True
-        else:
-            self.approximate = self._structural.approximate
 
     def _eval(self, x, eps):
-        if self._structural is not None:
-            return self._structural._eval(x, eps)
         return _bisect_inverse(self.inner, x, eps)
 
     def structural_inverse(self):
@@ -640,7 +636,7 @@ class Inverse(HomeoExpr):
     @classmethod
     def _from_payload(cls, payload, children):
         (inner,) = children
-        return cls(inner)
+        return inverse(inner)
 
 
 def _bisect_inverse(h: HomeoExpr, y: float, eps: float) -> float:

@@ -26,10 +26,11 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .circle import CircleHomeo, DEFAULT_EVAL_EPS, project
+from .circle import CircleHomeo, project
 from .errors import BudgetExceededError, NotPrimitiveError, RangeError
-from .expr import (CellHat, Compose, HomeoExpr, Identity, Translate,
-                   UnitCellHat, compose_all, evaluate, inverse, power)
+from .expr import (DEFAULT_EPS, CellHat, Compose, HomeoExpr, Identity,
+                   Translate, UnitCellHat, compose_all, evaluate, inverse,
+                   power)
 from .quadirr import QuadIrrational, gl2z_equivalent
 
 
@@ -85,6 +86,10 @@ def build_line_action(alpha: QuadIrrational, n: int) -> ZnAction:
 
 BUDGET_ENV_VAR = "CIRCLEDYN_WORD_BUDGET"
 DEFAULT_WORD_BUDGET = 10**6
+#: conjugacy_verdict checks a witness at WITNESS_GRID equispaced points of
+#: [-WITNESS_WINDOW, WITNESS_WINDOW]
+WITNESS_GRID = 64
+WITNESS_WINDOW = 2.0
 
 
 def _ball_size(rank: int, radius: int) -> int:
@@ -263,13 +268,12 @@ class ConjugacyReport:
 
 def conjugacy_verdict(a: CircleZnAction, b: CircleZnAction,
                       witness: ConjugacyWitness | None = None, *,
-                      tol: float = 1e-9, grid: int = 64,
-                      window: float = 2.0) -> ConjugacyReport:
+                      tol: float = 1e-9) -> ConjugacyReport:
     """Decide the decidable conjugacy criteria between two circle actions.
 
     (n, k) mismatch and inequivalent alpha are decided negatively; a
     supplied witness is checked against the affine-orbit equation
-    psi g' psi^{-1} = phi g h^k phi^{-1} on a sample grid.  Without a
+    psi g' psi^{-1} = phi g h^k phi^{-1} on the witness grid.  Without a
     witness the affine-orbit condition stays undecided.
     """
     if a.n != b.n or a.k != b.k:
@@ -294,10 +298,10 @@ def conjugacy_verdict(a: CircleZnAction, b: CircleZnAction,
     lhs = compose_all([witness.psi, g_prime, inverse(witness.psi)])
     rhs = compose_all([witness.phi, g_h_k, inverse(witness.phi)])
     worst = 0.0
-    for j in range(grid):
-        x = -window + 2.0 * window * j / (grid - 1)
-        worst = max(worst, abs(evaluate(lhs, x, DEFAULT_EVAL_EPS)
-                                - evaluate(rhs, x, DEFAULT_EVAL_EPS)))
+    for j in range(WITNESS_GRID):
+        x = -WITNESS_WINDOW + 2.0 * WITNESS_WINDOW * j / (WITNESS_GRID - 1)
+        worst = max(worst, abs(evaluate(lhs, x, DEFAULT_EPS)
+                                - evaluate(rhs, x, DEFAULT_EPS)))
     if worst <= tol:
         return ConjugacyReport(Verdict.CONJUGATE_WITNESSED,
                                "witness satisfies the affine-orbit equation",

@@ -15,13 +15,17 @@ import warnings
 from array import array
 from dataclasses import dataclass, field
 
-from .circle import CircleHomeo, DEFAULT_EVAL_EPS, frac, merge_sorted
+from .circle import CircleHomeo, frac, merge_circular, merge_sorted
 from .errors import NonIsolatedFixedPointsWarning
-from .expr import HomeoExpr, Identity, evaluate, inverse
+from .expr import DEFAULT_EPS, HomeoExpr, Identity, evaluate, inverse
 from .groups import (check_word_budget, word_ball, word_of, word_shells,
                      word_to_homeo)
 
 DEDUP_RESOLUTION = 1e-12
+#: points of an interval at which a word is checked to be the identity
+IDENTITY_SAMPLES = 17
+#: fixed_points looks for sign changes between j/FIXED_POINT_GRID
+FIXED_POINT_GRID = 512
 
 #: `word_ball` under its former name here, which the traced wordball
 #: benchmark run reads
@@ -45,11 +49,11 @@ def _word_values(action, x0: float, radius: int) -> array:
     The generators commute, so g_v is g_u followed by one generator step
     per coordinate of v at the shell's norm, where u is v's neighbour in
     the previous shell: every word costs one step evaluation (usually),
-    not a tree of |v| nodes.  Each step is evaluated at DEFAULT_EVAL_EPS.
+    not a tree of |v| nodes.  Each step is evaluated at DEFAULT_EPS.
     """
     rank = len(action.generators)
     size = check_word_budget(rank, radius)
-    eps = DEFAULT_EVAL_EPS
+    eps = DEFAULT_EPS
     # the zero word's value in every slot; evaluate rejects a non-finite x0
     values = array("d", [evaluate(Identity(), x0, eps)]) * size
     for codes, preds, moves in word_shells(rank, radius, _steps(action)):
@@ -107,12 +111,10 @@ def orbit(action, x0: float, radius: int) -> OrbitSample:
     also merged into the smallest when they are that close across 0.
     """
     values = _word_values(action, x0, radius)
-    circle = _is_circle(action)
-    points = merge_sorted(map(frac, values) if circle else values,
-                          DEDUP_RESOLUTION)
-    if (circle and len(points) > 1
-            and (1.0 - points[-1]) + points[0] < DEDUP_RESOLUTION):
-        points.pop()
+    if _is_circle(action):
+        points = merge_circular(map(frac, values), DEDUP_RESOLUTION)
+    else:
+        points = merge_sorted(values, DEDUP_RESOLUTION)
     return OrbitSample(points=tuple(points), radius=radius, base_point=x0)
 
 
@@ -143,9 +145,9 @@ def transitivity_probe(action, x0: float, eps: float, radius: int,
 
 
 def _identity_on_interval(g: HomeoExpr, a: float, b: float, tol: float,
-                          eps: float, samples: int = 17) -> bool:
-    for j in range(samples):
-        x = a + (b - a) * (j + 0.5) / samples
+                          eps: float) -> bool:
+    for j in range(IDENTITY_SAMPLES):
+        x = a + (b - a) * (j + 0.5) / IDENTITY_SAMPLES
         if abs(evaluate(g, x, eps) - x) > tol:
             return False
     return True
@@ -172,7 +174,7 @@ def wandering_probe(action, interval: tuple[float, float], radius: int,
         raise ValueError("interval must satisfy a < b")
     rank = len(action.generators)
     size = check_word_budget(rank, radius)
-    eps = DEFAULT_EVAL_EPS
+    eps = DEFAULT_EPS
     a_lo = array("d", [a]) * size
     b_hi = array("d", [b]) * size
     checked = 0
@@ -214,8 +216,7 @@ def wandering_probe(action, interval: tuple[float, float], radius: int,
                                    "tol": tol})
 
 
-def fixed_points(f: CircleHomeo, tol: float = 1e-9, *,
-                 grid: int = 512) -> list[float]:
+def fixed_points(f: CircleHomeo, tol: float = 1e-9) -> list[float]:
     """Isolated fixed angles of a circle homeomorphism, to accuracy tol.
 
     Located by sign-change bisection of F(x) - x - m over [0, 1) for each
@@ -225,8 +226,8 @@ def fixed_points(f: CircleHomeo, tol: float = 1e-9, *,
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     lift = f.lift
-    xs = [j / grid for j in range(grid + 1)]
-    disp = [evaluate(lift, x, DEFAULT_EVAL_EPS) - x for x in xs]
+    xs = [j / FIXED_POINT_GRID for j in range(FIXED_POINT_GRID + 1)]
+    disp = [evaluate(lift, x, DEFAULT_EPS) - x for x in xs]
     lo_m = math.floor(min(disp))
     hi_m = math.ceil(max(disp))
     plateau_eps = 1e-13
@@ -235,7 +236,7 @@ def fixed_points(f: CircleHomeo, tol: float = 1e-9, *,
     for m in range(lo_m, hi_m + 1):
         vals = [d - m for d in disp]
         j = 0
-        while j < grid:
+        while j < FIXED_POINT_GRID:
             v0, v1 = vals[j], vals[j + 1]
             if abs(v0) <= plateau_eps and abs(v1) <= plateau_eps:
                 if not warned:
@@ -253,7 +254,7 @@ def fixed_points(f: CircleHomeo, tol: float = 1e-9, *,
                 flo = v0
                 while hi - lo > tol:
                     mid = 0.5 * (lo + hi)
-                    fm = evaluate(lift, mid, DEFAULT_EVAL_EPS) - mid - m
+                    fm = evaluate(lift, mid, DEFAULT_EPS) - mid - m
                     if fm == 0.0:
                         lo = hi = mid
                         break
@@ -263,11 +264,4 @@ def fixed_points(f: CircleHomeo, tol: float = 1e-9, *,
                         hi = mid
                 roots.append(0.5 * (lo + hi))
             j += 1
-    cleaned: list[float] = []
-    for x in sorted(frac(x) for x in roots):
-        if cleaned and x - cleaned[-1] < 2 * tol:
-            continue
-        cleaned.append(x)
-    if len(cleaned) > 1 and (1.0 - cleaned[-1]) + cleaned[0] < 2 * tol:
-        cleaned.pop()
-    return cleaned
+    return merge_circular(map(frac, roots), 2 * tol)

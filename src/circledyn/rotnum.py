@@ -21,6 +21,11 @@ from .expr import (HomeoExpr, PiecewiseMonotone, _register, compose_all,
                    evaluate, inverse)
 
 TIE_RESOLUTION = 1e-12
+#: conjugate_to_translation checks f(x) > x at DISPLACEMENT_GRID equispaced
+#: points of [-DISPLACEMENT_WINDOW, DISPLACEMENT_WINDOW], evaluating at CHECK_EPS
+DISPLACEMENT_GRID = 65
+DISPLACEMENT_WINDOW = 8.0
+CHECK_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -161,22 +166,15 @@ class TranslationConjugacy(_ConjugacyNode):
     _walk_cap = 100000
 
     def _locate(self, x: float, eps: float) -> int:
-        """The integer n with f^n(0) <= x < f^(n+1)(0)."""
-        if x >= 0.0:
-            n = 0
-            hi = self.f._eval(0.0, eps)
-            while x >= hi:
-                hi = self.f._eval(hi, eps)
-                n += 1
-                if n > self._walk_cap:
-                    raise PrecisionError("orbit walk exceeded its budget")
-            return n
-        n = -1
-        lo = self._f_inv._eval(0.0, eps)
-        while x < lo:
-            lo = self._f_inv._eval(lo, eps)
-            n -= 1
-            if -n > self._walk_cap:
+        """The integer n with f^n(0) <= x < f^(n+1)(0), walked from 0."""
+        forward = x >= 0.0
+        step = self.f if forward else self._f_inv
+        n = 0 if forward else -1
+        edge = step._eval(0.0, eps)
+        while (x >= edge) == forward:
+            edge = step._eval(edge, eps)
+            n += 1 if forward else -1
+            if abs(n) > self._walk_cap:
                 raise PrecisionError("orbit walk exceeded its budget")
         return n
 
@@ -207,25 +205,24 @@ class _TranslationConjugacyInverse(_ConjugacyNode):
         return TranslationConjugacy(self.f, self.phi)
 
 
-def conjugate_to_translation(f: HomeoExpr, phi: HomeoExpr, *,
-                             window: float = 8.0, grid: int = 65,
-                             tol: float = 1e-9) -> HomeoExpr:
+def conjugate_to_translation(f: HomeoExpr, phi: HomeoExpr) -> HomeoExpr:
     """Build the conjugation h with h(f(x)) = h(x) + 1 from a fixed-point
     free f with f(0) > 0 and a homeomorphism phi: [0, f(0)) -> [0, 1).
 
-    Raises HasFixedPointError when f(x) - x changes sign on the check grid,
-    DomainError when phi fails its endpoint contract.
+    Raises HasFixedPointError when f(x) - x is not positive on the check
+    grid, DomainError when phi fails its endpoint contract.
     """
-    f0 = evaluate(f, 0.0, tol)
+    f0 = evaluate(f, 0.0, CHECK_EPS)
     if f0 <= 0.0:
         raise DomainError(f"need f(0) > 0, got {f0!r}")
-    for j in range(grid):
-        x = -window + 2.0 * window * j / (grid - 1)
-        if evaluate(f, x, tol) - x <= 0.0:
+    for j in range(DISPLACEMENT_GRID):
+        x = (-DISPLACEMENT_WINDOW
+             + 2.0 * DISPLACEMENT_WINDOW * j / (DISPLACEMENT_GRID - 1))
+        if evaluate(f, x, CHECK_EPS) - x <= 0.0:
             raise HasFixedPointError(
                 f"f(x) - x is not positive at x = {x!r}")
-    lo = evaluate(phi, 0.0, tol)
-    hi = evaluate(phi, f0 * (1.0 - 1e-9), tol)
+    lo = evaluate(phi, 0.0, CHECK_EPS)
+    hi = evaluate(phi, f0 * (1.0 - 1e-9), CHECK_EPS)
     if abs(lo) > 1e-6 or not 1.0 - 1e-3 <= hi < 1.0 + 1e-9:
         raise DomainError(
             f"phi must map [0, f(0)) onto [0, 1); endpoints gave {lo!r}, {hi!r}")

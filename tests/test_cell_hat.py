@@ -201,3 +201,14 @@ def test_power_of_circle_generator_is_one_node(k):
                 for _ in range(abs(e)):
                     y = evaluate(step, y)
                 assert abs(evaluate(p, x) - y) <= 1e-14
+
+
+def test_span_over_one_unit_is_rejected_exactly():
+    # the float difference of these edges rounds to 1.0, but the exact span
+    # is 1 + 1.1e-16, so neighbouring cells would overlap
+    edges = (-0.7967095749099499, 0.20329042509005024)
+    assert edges[1] - edges[0] == 1.0
+    assert Fraction(edges[1]) - Fraction(edges[0]) > 1
+    with pytest.raises(ValueError):
+        CellHat(Translate(0.3), edges)
+    CellHat(Translate(0.3), (edges[0], edges[0] + 1.0))

@@ -186,3 +186,49 @@ def test_emit_json_17_digits():
     assert "0.10000000000000001" in text
     assert json.loads(text) == {"x": 1.0 / 3.0, "list": [0.1], "n": 3,
                                 "s": "ok", "flag": True, "none": None}
+
+
+@pytest.mark.parametrize("config, argv", [
+    ({"N": "100"}, ["rotnum", "--lift", "translate:0.25"]),
+    ({"handler": 1, "command": "orbit", "help": True, "N": 100,
+      "output": None}, ["rotnum", "--lift", "translate:0.25"]),
+])
+def test_config_values_are_typed_like_flags(tmp_path, capsys, config, argv):
+    # a string converts as --N's text would; null values and keys that name
+    # no option of the command are ignored
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, _ = run(capsys, "--config", str(cfg), *argv)
+    assert code == 0
+    assert json.loads(out)["iterations"] == 100
+
+
+@pytest.mark.parametrize("config, flag", [({"radius": 2.5}, "--radius"),
+                                          ({"format": "png"}, "--format"),
+                                          ({"x0": [0.5]}, "--x0")])
+def test_bad_config_values_exit_2(tmp_path, capsys, config, flag):
+    bundle = tmp_path / "g2.json"
+    assert run(capsys, "build-group", "--alpha", "sqrt(2)-1", "--n", "2",
+               "--output", str(bundle))[0] == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "orbit", "--group", str(bundle)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+
+def test_config_switch_takes_a_boolean(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    argv = ["--config", str(cfg), "build-group", "--alpha", "sqrt(2)-1",
+            "--n", "2", "--k", "2", "--g", "1,0"]
+    cfg.write_text(json.dumps({"circle": True}))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["space"] == "circle"
+    cfg.write_text(json.dumps({"circle": False}))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["space"] == "line"
+    cfg.write_text(json.dumps({"circle": "false"}))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -208,3 +208,12 @@ def test_serialization_keeps_fractions_exact():
     h = Translate(Fraction(1, 3))
     back = expr_from_jsonable(expr_to_jsonable(h))
     assert back.amount == Fraction(1, 3)
+
+
+def test_inverse_document_loads_as_its_closed_form():
+    doc = {"kind": "inverse", "children": [expr_to_jsonable(HBar())]}
+    assert expr_from_jsonable(doc) == HBarInv()
+    pm = PiecewiseMonotone([0.0, 0.4, 1.0], [0.0, 0.3, 1.0])
+    back = expr_from_jsonable(expr_to_jsonable(Inverse(pm)))
+    assert back == Inverse(pm) and back.approximate
+    assert evaluate(back, 0.3, 1e-12) == pytest.approx(0.4, abs=1e-12)

@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked on its syntax trees: every import
-is from the standard library or from circledyn itself, and every imported
-name is used.  The README's schema table lists every expression kind."""
+is from the standard library or from circledyn itself, sits at module level,
+and every imported name is used.  The README's schema table lists every
+expression kind."""
 
 import ast
 import re
@@ -86,3 +87,14 @@ def test_readme_lists_every_expression_kind():
     listed = re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE)
     assert len(listed) == len(set(listed))
     assert set(listed) == set(expr._NODE_REGISTRY) | set(expr._LOAD_ONLY_KINDS)
+
+
+def test_every_import_is_at_module_level():
+    nested = []
+    for path in MODULES:
+        tree = _tree(path)
+        top = {id(node) for node in tree.body}
+        nested += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and id(node) not in top]
+    assert nested == []
