@@ -53,10 +53,15 @@ def circular_distance(a: float, b: float) -> float:
 def _lift_defects(F: HomeoExpr) -> tuple[float, float, float]:
     """One pass over the check grid x_j = j/CHECK_GRID, j = 0..CHECK_GRID-1:
     the largest decrease along F(x_0), ..., F(x_63), F(1), the largest
-    |F(x_j + 1) - F(x_j) - 1|, and F(0)."""
+    |F(x_j + 1) - F(x_j) - 1|, and F(0).
+
+    Raises NotALiftError when a grid value is not finite, since the
+    defects' max would skip a NaN."""
     xs = [j / CHECK_GRID for j in range(CHECK_GRID)]
     below = [evaluate(F, x, DEFAULT_EPS) for x in xs]
     above = [evaluate(F, x + 1.0, DEFAULT_EPS) for x in xs]
+    if not all(map(math.isfinite, below + above)):
+        raise NotALiftError("expression is not finite on the check grid")
     path = below + above[:1]
     drops = [prev - cur for prev, cur in zip(path, path[1:])]
     defects = [abs(hi - lo - 1.0) for lo, hi in zip(below, above)]
@@ -86,9 +91,9 @@ def exact_translation_offset(F: HomeoExpr):
 def normalize_lift(F: HomeoExpr) -> tuple[HomeoExpr, int]:
     """Split F = Translate(n) . F0 with F0(0) in [0, 1) and n = floor(F(0)).
 
-    The package's one lift check: raises NotALiftError when F decreases on
-    the check grid, and otherwise when its commutation defect exceeds
-    CHECK_TOL.
+    The package's one lift check: raises NotALiftError when F is not finite
+    on the check grid, otherwise when F decreases there, and otherwise when
+    its commutation defect exceeds CHECK_TOL.
     """
     drop, defect, value0 = _lift_defects(F)
     if drop > 0.0:

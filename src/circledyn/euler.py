@@ -143,7 +143,14 @@ def coboundary(table: CochainTable) -> CochainTable:
 
 
 def to_inhomogeneous(table: CochainTable, law: GroupLaw) -> CochainTable:
-    """c_bar(g1,...,gk) = c(e, g1, g1 g2, ..., g1...gk)."""
+    """c_bar(g1,...,gk) = c(e, g1, g1 g2, ..., g1...gk), tabulated over
+    the universe of the homogeneous table.
+
+    Every product g1...gj must be in that universe, so it must be closed
+    under the law, or raises MissingFaceError.  A finite table of Z^n words
+    (word_group_law) is not closed: it converts at degree 1 when it holds
+    the zero word, and not at higher degrees.
+    """
     if table.flavor == "inhomogeneous":
         return table
     ids = table.universe()
@@ -161,7 +168,14 @@ def to_inhomogeneous(table: CochainTable, law: GroupLaw) -> CochainTable:
 
 def to_homogeneous(table: CochainTable, law: GroupLaw) -> CochainTable:
     """c(g0,...,gk) = c_bar(g0^{-1} g1, ..., g_{k-1}^{-1} gk), tabulated over
-    the universe of the inhomogeneous table."""
+    the universe of the inhomogeneous table.
+
+    Every step g_{i-1}^{-1} g_i must be in that universe, so it must be
+    closed under the law, or raises MissingFaceError.  A finite table of
+    Z^n words (word_group_law) other than {0} is not closed and never
+    converts this way; over such words only to_inhomogeneous at degree 1
+    works.
+    """
     if table.flavor == "homogeneous":
         return table
     ids = table.universe()
@@ -180,9 +194,6 @@ class CocycleTable:
 
     elements: tuple
     values: dict
-
-    def ids(self) -> list:
-        return [label for label, _ in self.elements]
 
     def as_jsonable(self) -> dict:
         return {"elements": [list(label) if isinstance(label, tuple) else label

@@ -54,6 +54,10 @@ def _num_from_jsonable(value):
     return value
 
 
+def _listed(value):
+    return list(value) if isinstance(value, tuple) else value
+
+
 class HomeoExpr:
     """Base class for homeomorphism expression nodes."""
 
@@ -64,6 +68,11 @@ class HomeoExpr:
     #: requested eps actually drives work, rather than being met for free
     #: by closed-form float evaluation).
     approximate = False
+
+    #: The constructor's keyword parameters, in payload order.  The payload,
+    #: the loader and equality are derived from them; children come first
+    #: in the constructor's positional arguments.
+    fields = ()
 
     def __call__(self, x, eps: float = DEFAULT_EPS) -> float:
         return evaluate(self, x, eps)
@@ -76,13 +85,19 @@ class HomeoExpr:
         return None
 
     def payload(self) -> dict:
-        return {}
+        """The parameters by name, with tuples written as lists."""
+        return {f: _listed(getattr(self, f)) for f in self.fields}
 
     def children(self) -> tuple:
         return ()
 
+    @classmethod
+    def _from_payload(cls, payload, children):
+        return cls(*children,
+                   **{f: _num_from_jsonable(payload[f]) for f in cls.fields})
+
     def _key(self):
-        return (self.kind, tuple(sorted(self.payload().items(), key=lambda kv: kv[0])),
+        return (self.kind, tuple(getattr(self, f) for f in self.fields),
                 self.children())
 
     def __eq__(self, other):
@@ -155,10 +170,6 @@ class Identity(HomeoExpr):
     def structural_inverse(self):
         return self
 
-    @classmethod
-    def _from_payload(cls, payload, children):
-        return cls()
-
 
 @_register
 class Translate(HomeoExpr):
@@ -167,6 +178,7 @@ class Translate(HomeoExpr):
 
     __slots__ = ("amount", "_af")
     kind = "translate"
+    fields = ("amount",)
 
     def __init__(self, amount):
         self.amount = _num(amount)
@@ -178,13 +190,6 @@ class Translate(HomeoExpr):
     def structural_inverse(self):
         return Translate(-self.amount)
 
-    def payload(self):
-        return {"amount": self.amount}
-
-    @classmethod
-    def _from_payload(cls, payload, children):
-        return cls(_num_from_jsonable(payload["amount"]))
-
 
 @_register
 class Affine(HomeoExpr):
@@ -192,6 +197,7 @@ class Affine(HomeoExpr):
 
     __slots__ = ("scale", "offset", "_sf", "_of")
     kind = "affine"
+    fields = ("scale", "offset")
 
     def __init__(self, scale, offset):
         scale = _num(scale)
@@ -211,14 +217,6 @@ class Affine(HomeoExpr):
             return Affine(inv_scale, -Fraction(self.offset) * inv_scale)
         return Affine(1.0 / self._sf, -self._of / self._sf)
 
-    def payload(self):
-        return {"scale": self.scale, "offset": self.offset}
-
-    @classmethod
-    def _from_payload(cls, payload, children):
-        return cls(_num_from_jsonable(payload["scale"]),
-                   _num_from_jsonable(payload["offset"]))
-
 
 @_register
 class HBar(HomeoExpr):
@@ -233,10 +231,6 @@ class HBar(HomeoExpr):
     def structural_inverse(self):
         return HBarInv()
 
-    @classmethod
-    def _from_payload(cls, payload, children):
-        return cls()
-
 
 @_register
 class HBarInv(HomeoExpr):
@@ -250,10 +244,6 @@ class HBarInv(HomeoExpr):
 
     def structural_inverse(self):
         return HBar()
-
-    @classmethod
-    def _from_payload(cls, payload, children):
-        return cls()
 
 
 #: Finest accuracy certifiable for cell transplants whose argument falls in
@@ -277,6 +267,7 @@ class CellHat(HomeoExpr):
 
     __slots__ = ("inner", "edges", "approximate", "_lo", "_width", "_search")
     kind = "cell_hat"
+    fields = ("edges",)
 
     def __init__(self, inner: HomeoExpr, edges):
         edges = tuple(float(e) for e in edges)
@@ -329,17 +320,6 @@ class CellHat(HomeoExpr):
 
     def children(self):
         return (self.inner,)
-
-    def payload(self):
-        return {"edges": list(self.edges)}
-
-    def _key(self):
-        return (self.kind, self.edges, self.inner)
-
-    @classmethod
-    def _from_payload(cls, payload, children):
-        (inner,) = children
-        return cls(inner, payload["edges"])
 
 
 def UnitCellHat(inner: HomeoExpr) -> CellHat:
@@ -394,6 +374,7 @@ class PiecewiseMonotone(HomeoExpr):
     __slots__ = ("xs", "ys", "interpolation", "extension",
                  "_segments", "_lo_slope", "_hi_slope")
     kind = "piecewise_monotone"
+    fields = ("xs", "ys", "interpolation", "extension")
 
     def __init__(self, xs, ys, interpolation="cubic", extension="linear"):
         xs = tuple(float(v) for v in xs)
@@ -521,18 +502,6 @@ class PiecewiseMonotone(HomeoExpr):
             return PiecewiseMonotone(self.ys, self.xs, "linear", self.extension)
         return None
 
-    def payload(self):
-        return {"xs": list(self.xs), "ys": list(self.ys),
-                "interpolation": self.interpolation, "extension": self.extension}
-
-    def _key(self):
-        return (self.kind, self.xs, self.ys, self.interpolation, self.extension)
-
-    @classmethod
-    def _from_payload(cls, payload, children):
-        return cls(payload["xs"], payload["ys"],
-                   payload["interpolation"], payload["extension"])
-
 
 @_register
 class Compose(HomeoExpr):
@@ -607,10 +576,6 @@ class Compose(HomeoExpr):
     def children(self):
         return self.members
 
-    @classmethod
-    def _from_payload(cls, payload, children):
-        return cls(*children)
-
 
 @_register
 class Inverse(HomeoExpr):
@@ -635,8 +600,7 @@ class Inverse(HomeoExpr):
 
     @classmethod
     def _from_payload(cls, payload, children):
-        (inner,) = children
-        return inverse(inner)
+        return inverse(*children)
 
 
 def _bisect_inverse(h: HomeoExpr, y: float, eps: float) -> float:
@@ -736,4 +700,7 @@ def expr_from_jsonable(doc: dict) -> HomeoExpr:
         raise ValueError(f"unknown expression node kind {kind!r}")
     children = tuple(expr_from_jsonable(c) for c in doc.get("children", ()))
     payload = {k: v for k, v in doc.items() if k not in ("kind", "children")}
-    return load(payload, children)
+    try:
+        return load(payload, children)
+    except TypeError as exc:    # parameters or children that do not fit
+        raise ValueError(f"malformed {kind!r} node: {exc}") from exc

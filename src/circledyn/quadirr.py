@@ -183,10 +183,6 @@ class Gl2zMatrix:
     def as_tuple(self):
         return (self.m1, self.n1, self.m2, self.n2)
 
-    @staticmethod
-    def identity() -> "Gl2zMatrix":
-        return Gl2zMatrix(0, 1, 1, 0)
-
 
 def mobius_apply(M: Gl2zMatrix, x: QuadIrrational) -> QuadIrrational:
     """(m1 + n1*x) / (m2 + n2*x), exactly, in canonical form."""

@@ -149,11 +149,6 @@ class _ConjugacyNode(HomeoExpr):
     def children(self):
         return (self.f, self.phi)
 
-    @classmethod
-    def _from_payload(cls, payload, children):
-        f, phi = children
-        return cls(f, phi)
-
 
 @_register
 class TranslationConjugacy(_ConjugacyNode):
@@ -229,8 +224,7 @@ def conjugate_to_translation(f: HomeoExpr, phi: HomeoExpr) -> HomeoExpr:
     return TranslationConjugacy(f, phi)
 
 
-def approximate_poincare_conjugacy(f: CircleHomeo, N: int, x0: float = 0.0, *,
-                                   q_max: int | None = None
+def approximate_poincare_conjugacy(f: CircleHomeo, N: int, x0: float = 0.0
                                    ) -> tuple[PiecewiseMonotone, float]:
     """Order-matching conjugacy h_N to the rigid rotation, plus its defect.
 
@@ -240,16 +234,15 @@ def approximate_poincare_conjugacy(f: CircleHomeo, N: int, x0: float = 0.0, *,
     h(p_k) + alpha; it shrinks as N grows when f is minimal.
 
     Raises RationalRotationError when the estimate is consistent with a
-    rational of denominator at most q_max, and DomainError for a non-finite
-    base point.  The default q_max scales as
-    sqrt(N)/2 (capped at 1000): an error bound of 1/N can only separate the
-    estimate from rationals with q below roughly sqrt(N), since every
-    irrational sits within 1/N of some p/q with q <= sqrt(N) (Dirichlet).
+    rational of denominator at most sqrt(N)/2 (capped at 1000), and
+    DomainError for a non-finite base point.  The denominator bound scales
+    so: an error bound of 1/N can only separate the estimate from rationals
+    with q below roughly sqrt(N), since every irrational sits within 1/N of
+    some p/q with q <= sqrt(N) (Dirichlet).
     """
     if N < 10:
         raise ValueError("N must be at least 10")
-    if q_max is None:
-        q_max = max(1, min(1000, math.isqrt(N) // 2))
+    q_max = max(1, min(1000, math.isqrt(N) // 2))
     # One orbit pass gives both the estimate and the orbit to match.
     est, angles = _reduced_orbit(f, N, x0, collect=True)
     hit = rational_screen(est.value, est.error_bound, q_max)

@@ -120,3 +120,13 @@ def test_merge_circular_matches_the_former_loops(angles):
     for resolution in (1e-12, 2e-9):
         assert (merge_circular(angles, resolution)
                 == _former_circular_dedup(angles, resolution))
+
+
+#: a translation by 1/4 that returns NaN at the grid point x = 1/2
+NAN_AT_HALF = _Map(lambda x: math.nan if x == 0.5 else x + 0.25)
+
+
+@pytest.mark.parametrize("check", [project, CircleHomeo])
+def test_non_finite_grid_value_is_rejected(check):
+    with pytest.raises(NotALiftError, match="not finite"):
+        check(NAN_AT_HALF)
