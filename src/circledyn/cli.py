@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -207,9 +208,12 @@ def _cmd_orbit(args) -> int:
     if args.format == "csv":
         text = "\n".join(_fmt_float(p) for p in sample.points) + "\n"
     elif args.format == "svg":
-        window = _parse_window(args.window) if args.window else (
-            (0.0, 1.0) if getattr(action, "space", "line") == "circle"
-            else (min(sample.points), max(sample.points)))
+        if args.window:
+            window = _parse_window(args.window)
+        elif getattr(action, "space", "line") == "circle":
+            window = (0.0, 1.0)
+        else:
+            window = _point_range(sample.points)
         text = _svg_scatter(sample.points, window)
     else:
         text = emit_json({"base_point": sample.base_point,
@@ -220,7 +224,22 @@ def _cmd_orbit(args) -> int:
 
 
 def _parse_window(text: str) -> tuple[float, float]:
-    a, b = (float(v) for v in text.split(","))
+    """'a,b' as two finite floats with a < b."""
+    values = [float(v) for v in text.split(",")]
+    if not (len(values) == 2 and all(map(math.isfinite, values))
+            and values[0] < values[1]):
+        raise ValueError(f"expected two finite numbers a,b with a < b; "
+                         f"got {text!r}")
+    return values[0], values[1]
+
+
+def _point_range(points) -> tuple[float, float]:
+    """The smallest and largest point.  A single point gets a range of
+    width 1 centred on it, or two float spacings where those are wider."""
+    a, b = min(points), max(points)
+    if a == b:
+        pad = max(0.5, math.ulp(a))
+        a, b = a - pad, b + pad
     return a, b
 
 

@@ -125,7 +125,7 @@ def evaluate(h: HomeoExpr, x, eps: float = DEFAULT_EPS) -> float:
     their children's `_eval` directly where the argument is finite by
     construction, and `Compose` checks the intermediate values itself.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
     x = float(x)
     if not isfinite(x):
@@ -322,9 +322,13 @@ class CellHat(HomeoExpr):
         return (self.inner,)
 
 
+#: The edges of the unit cells (i, i+1).
+UNIT_EDGES = (0.0, 1.0)
+
+
 def UnitCellHat(inner: HomeoExpr) -> CellHat:
     """inner transplanted onto each unit cell (i, i+1); fixes the integers."""
-    return CellHat(inner, (0.0, 1.0))
+    return CellHat(inner, UNIT_EDGES)
 
 
 def ArcHat(inner: HomeoExpr, lo, hi) -> CellHat:

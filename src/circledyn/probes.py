@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 from .circle import CircleHomeo, frac, merge_circular, merge_sorted
 from .errors import NonIsolatedFixedPointsWarning
-from .expr import DEFAULT_EPS, HomeoExpr, Identity, evaluate, inverse
+from .expr import (BOUNDARY_DELTA, DEFAULT_EPS, UNIT_EDGES, CellHat,
+                   HomeoExpr, Identity, Translate, evaluate, inverse)
 from .groups import (check_word_budget, word_ball, word_of, word_shells,
                      word_to_homeo)
 
@@ -32,11 +33,11 @@ FIXED_POINT_GRID = 512
 _word_ball = word_ball
 
 
-def _steps(action) -> list[tuple[HomeoExpr, HomeoExpr]]:
+def _steps(generators) -> list[tuple[HomeoExpr, HomeoExpr]]:
     """(g_i, g_i^-1) for each generator, on the lifts for circle actions:
     the moves of `word_shells`."""
     steps = []
-    for g in action.generators:
+    for g in generators:
         h = g.lift if isinstance(g, CircleHomeo) else g
         steps.append((h, inverse(h)))
     return steps
@@ -46,17 +47,75 @@ def _word_values(action, x0: float, radius: int) -> array:
     """g_v(x0) for every word v of the sup-norm ball, indexed by its
     `word_shells` code.
 
-    The generators commute, so g_v is g_u followed by one generator step
-    per coordinate of v at the shell's norm, where u is v's neighbour in
-    the previous shell: every word costs one step evaluation (usually),
-    not a tree of |v| nodes.  Each step is evaluated at DEFAULT_EPS.
+    The line construction is filled level by level (`_level_values`):
+    one chart evaluation per point of each sub-ball instead of up to n - 1
+    nested cell transplants for every word.  Its error does not grow with
+    the level.  hbar has slope <= 1/pi, so a sub-orbit's error shrinks on
+    the way up and each level adds only the rounding of hbar and of the
+    shift; only the base point is pulled back through tan, once per level,
+    as `CellHat._eval` pulls back each word's argument.  Any other
+    generators, and a circle action's lifts, take the step engine
+    (`_stepped_values`).
     """
-    rank = len(action.generators)
-    size = check_word_budget(rank, radius)
+    check_word_budget(len(action.generators), radius)
+    # evaluate rejects a non-finite x0
+    return _level_values(action.generators,
+                         evaluate(Identity(), x0, DEFAULT_EPS), radius)
+
+
+def _level_values(generators, x: float, radius: int) -> array:
+    """g_v(x) over the radius ball of these generators, in code order.
+
+    v_1 is the most significant digit of the code, so the values are the
+    first generator's shifts j, each over the ball of the others:
+      * translations only: x + sum v_i a_i, summed from the last
+        coordinate as a word's tree evaluates it;
+      * the unit translation and unit-cell `CellHat`s: x = m + u is pulled
+        back to y = hbar^-1(u) as `CellHat._eval` does it, the inners'
+        ball is filled at y and pushed forward to m + hbar(.); an x with
+        u not in (0, 1) is fixed by every cell transplant;
+      * anything else: the step engine.
+    """
+    head, rest = generators[0], generators[1:]
+    if all(type(g) is Translate for g in generators):
+        cell = _level_values(rest, x, radius).tolist() if rest else [x]
+        shift = float(head.amount)
+    elif (type(head) is Translate and head.amount == 1 and rest
+          and all(type(g) is CellHat and g.edges == UNIT_EDGES
+                  for g in rest)):
+        m = math.floor(x)
+        u = x - m
+        if 0.0 < u < 1.0:
+            # the guard-band clamp of CellHat._eval, always certified at
+            # DEFAULT_EPS (HAT_CLAMP_TOL is finer)
+            u = min(max(u, BOUNDARY_DELTA), 1.0 - BOUNDARY_DELTA)
+            inner = _level_values(tuple(g.inner for g in rest),
+                                  math.tan(math.pi * (u - 0.5)), radius)
+            atan, pi = math.atan, math.pi
+            cell = [m + (atan(w) / pi + 0.5) for w in inner]
+            # the zero word of the inners is the identity
+            cell[len(cell) // 2] = x
+        else:
+            cell = [x] * (2 * radius + 1) ** len(rest)
+        shift = 1.0
+    else:
+        return _stepped_values(generators, x, radius)
+    values = array("d")
+    for j in range(-radius, radius + 1):
+        s = j * shift
+        values.fromlist([s + c for c in cell])
+    return values
+
+
+def _stepped_values(generators, x: float, radius: int) -> array:
+    """The step engine: the generators commute, so g_v is g_u followed by
+    one generator step per coordinate of v at the shell's norm, where u is
+    v's neighbour in the previous shell (see `word_shells`).  Every word
+    costs one step evaluation (usually), each at DEFAULT_EPS."""
     eps = DEFAULT_EPS
-    # the zero word's value in every slot; evaluate rejects a non-finite x0
-    values = array("d", [evaluate(Identity(), x0, eps)]) * size
-    for codes, preds, moves in word_shells(rank, radius, _steps(action)):
+    rank = len(generators)
+    values = array("d", [x]) * (2 * radius + 1) ** rank
+    for codes, preds, moves in word_shells(rank, radius, _steps(generators)):
         for code, pred, move in zip(codes, preds, moves):
             y = values[pred]
             for h in move:
@@ -106,7 +165,10 @@ def orbit(action, x0: float, radius: int) -> OrbitSample:
     """Evaluate every word in the sup-norm ball at x0.
 
     Line actions return points on R; circle actions return angles in [0, 1).
-    Points are sorted, and a point less than DEDUP_RESOLUTION above the
+    The line construction's ball is filled level by level, one chart
+    evaluation per sub-ball point, with the per-level error argument of
+    `_word_values`; other actions step each word from a neighbour.  Points
+    are sorted, and a point less than DEDUP_RESOLUTION above the
     last point kept is merged into it; on the circle the largest angle is
     also merged into the smallest when they are that close across 0.
     """
@@ -125,7 +187,7 @@ def transitivity_probe(action, x0: float, eps: float, radius: int,
     SUPPORTS when every bin is hit; otherwise INCONCLUSIVE (density is
     never refutable at a finite radius).
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
     a, b = float(window[0]), float(window[1])
     if not b > a:
@@ -162,23 +224,26 @@ def wandering_probe(action, interval: tuple[float, float], radius: int,
     which is valid because all maps are monotone.  REFUTES carries the
     violating word, re-verified at 10x tighter evaluation accuracy.
 
-    Words are screened as in `_word_values`, one step from their
-    neighbour, on a lower bound of g(a) and an upper bound of g(b) that
-    each step widens by the evaluation eps (the maps are increasing, so
-    the bounds hold for the exact images).  A word whose bounds lie eps
+    Words are screened as in the step engine `_stepped_values`, one step
+    from their neighbour, on a lower bound of g(a) and an upper bound of
+    g(b) that each step widens by the evaluation eps (the maps are
+    increasing, so the bounds hold for the exact images).  A word whose bounds lie eps
     clear of the interval could not overlap it under direct evaluation
     either; only the other words are evaluated directly from their trees.
     """
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError("interval must satisfy a < b")
+    if not tol >= 0.0:
+        raise ValueError("tol must be nonnegative")
     rank = len(action.generators)
     size = check_word_budget(rank, radius)
     eps = DEFAULT_EPS
     a_lo = array("d", [a]) * size
     b_hi = array("d", [b]) * size
     checked = 0
-    for codes, preds, moves in word_shells(rank, radius, _steps(action)):
+    steps = _steps(action.generators)
+    for codes, preds, moves in word_shells(rank, radius, steps):
         for code, pred, move in zip(codes, preds, moves):
             checked += 1
             if not move:
@@ -223,7 +288,7 @@ def fixed_points(f: CircleHomeo, tol: float = 1e-9) -> list[float]:
     integer level m the displacement attains.  A detected plateau (interval
     of fixed points) emits NonIsolatedFixedPointsWarning and is skipped.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     lift = f.lift
     xs = [j / FIXED_POINT_GRID for j in range(FIXED_POINT_GRID + 1)]

@@ -103,7 +103,7 @@ class QuadIrrational:
     def value(self, eps: float = 1e-15) -> float:
         """Float approximation with |result - exact| <= eps, via integer
         square-root refinement."""
-        if eps <= 0.0:
+        if not eps > 0.0:
             raise ValueError("eps must be positive")
         k = max(0, math.ceil(math.log2(max(abs(self.q), 1) / (self.r * eps))) + 1)
         s = math.isqrt(self.d << (2 * k))
