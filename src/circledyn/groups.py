@@ -22,6 +22,7 @@ each word from a neighbour instead of building its tree.
 from __future__ import annotations
 
 import enum
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -273,9 +274,13 @@ def conjugacy_verdict(a: CircleZnAction, b: CircleZnAction,
 
     (n, k) mismatch and inequivalent alpha are decided negatively; a
     supplied witness is checked against the affine-orbit equation
-    psi g' psi^{-1} = phi g h^k phi^{-1} on the witness grid.  Without a
-    witness the affine-orbit condition stays undecided.
+    psi g' psi^{-1} = phi g h^k phi^{-1} on the witness grid, and holds
+    only when every residual there is finite and at most tol.  Without a
+    witness the affine-orbit condition stays undecided.  A tol that is
+    negative or NaN raises ValueError.
     """
+    if not tol >= 0.0:
+        raise ValueError("tol must be nonnegative")
     if a.n != b.n or a.k != b.k:
         return ConjugacyReport(Verdict.NOT_CONJUGATE,
                                f"(n, k) = ({a.n}, {a.k}) differs from ({b.n}, {b.k})")
@@ -297,11 +302,15 @@ def conjugacy_verdict(a: CircleZnAction, b: CircleZnAction,
     g_h_k = word_to_homeo(a.base, combined)
     lhs = compose_all([witness.psi, g_prime, inverse(witness.psi)])
     rhs = compose_all([witness.phi, g_h_k, inverse(witness.phi)])
-    worst = 0.0
+    residuals = []
     for j in range(WITNESS_GRID):
         x = -WITNESS_WINDOW + 2.0 * WITNESS_WINDOW * j / (WITNESS_GRID - 1)
-        worst = max(worst, abs(evaluate(lhs, x, DEFAULT_EPS)
-                                - evaluate(rhs, x, DEFAULT_EPS)))
+        residuals.append(abs(evaluate(lhs, x, DEFAULT_EPS)
+                             - evaluate(rhs, x, DEFAULT_EPS)))
+    if not all(map(math.isfinite, residuals)):
+        return ConjugacyReport(Verdict.UNDECIDED_NEEDS_WITNESS,
+                               "supplied witness gives a non-finite residual")
+    worst = max(residuals)
     if worst <= tol:
         return ConjugacyReport(Verdict.CONJUGATE_WITNESSED,
                                "witness satisfies the affine-orbit equation",

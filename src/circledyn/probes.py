@@ -63,6 +63,28 @@ def _word_values(action, x0: float, radius: int) -> array:
                          evaluate(Identity(), x0, DEFAULT_EPS), radius)
 
 
+def _level_shape(generators) -> str | None:
+    """How `_level_values` fills a level of these generators:
+    "translations", "cells" (the unit translation followed by unit-cell
+    `CellHat`s) or None (the step engine)."""
+    head, rest = generators[0], generators[1:]
+    if all(type(g) is Translate for g in generators):
+        return "translations"
+    if (type(head) is Translate and head.amount == 1 and rest
+            and all(type(g) is CellHat and g.edges == UNIT_EDGES
+                    for g in rest)):
+        return "cells"
+    return None
+
+
+def _closed_form(generators) -> bool:
+    """Whether `_level_values` fills every level without the step engine."""
+    shape = _level_shape(generators)
+    if shape == "cells":
+        return _closed_form(tuple(g.inner for g in generators[1:]))
+    return shape == "translations"
+
+
 def _level_values(generators, x: float, radius: int) -> array:
     """g_v(x) over the radius ball of these generators, in code order.
 
@@ -77,12 +99,11 @@ def _level_values(generators, x: float, radius: int) -> array:
       * anything else: the step engine.
     """
     head, rest = generators[0], generators[1:]
-    if all(type(g) is Translate for g in generators):
+    shape = _level_shape(generators)
+    if shape == "translations":
         cell = _level_values(rest, x, radius).tolist() if rest else [x]
         shift = float(head.amount)
-    elif (type(head) is Translate and head.amount == 1 and rest
-          and all(type(g) is CellHat and g.edges == UNIT_EDGES
-                  for g in rest)):
+    elif shape == "cells":
         m = math.floor(x)
         u = x - m
         if 0.0 < u < 1.0:
@@ -122,6 +143,111 @@ def _stepped_values(generators, x: float, radius: int) -> array:
                 y = evaluate(h, y, eps)
             values[code] = y
     return values
+
+
+#: the wandering screen bounds the balls of these radii before the full one,
+#: so an interval that the first shells refute never fills the whole ball
+SCREEN_RADII = (1, 2)
+#: the level bounds' margin: this many units in the last place of the
+#: ball's scale per level of the recursion, on top of DEFAULT_EPS
+LEVEL_ULPS = 8
+
+
+def _level_bounds(generators, a: float, b: float, radius: int):
+    """(lo, hi) in code order for generators that `_level_values` fills
+    without the step engine (the line construction, translation-only
+    actions): lo[c] is a lower bound of g_v(a) and hi[c] an upper bound of
+    g_v(b), with eps to spare, for the word v coded c.
+
+    That is, lo_v <= evaluate(g_v, a, eps) - eps <= g_v(a) and the mirror
+    for hi_v, where eps = DEFAULT_EPS.  lo_v = level_a[v] - m and
+    hi_v = level_b[v] + m with m = eps + LEVEL_ULPS * rank * ulp(scale),
+    scale the largest of 1 and the values' magnitudes.  The margin covers:
+      * eps, so that lo_v lies below evaluate - eps as well, which the
+        error model places below the exact image;
+      * the recursion's rounding.  The endpoint is pulled back through tan
+        as `CellHat._eval` pulls back each word's argument, clamp included.
+        After that each level rounds atan(w)/pi + 1/2, a number in (0, 1),
+        and two additions, each within an ulp of the scale, and hbar's
+        slope <= 1/pi shrinks the error a lower level passes up, so a value
+        lies a few ulps per level from the word's own tree (at most 2.2
+        ulps per level on the test balls);
+      * the rounding of the subtraction itself.
+    """
+    at_a = _level_values(generators, a, radius)
+    at_b = _level_values(generators, b, radius)
+    # g_v(a) < g_v(b), so every |value| is at most -min(at_a) or max(at_b)
+    scale = max(1.0, -min(at_a), max(at_b))
+    m = DEFAULT_EPS + LEVEL_ULPS * len(generators) * math.ulp(scale)
+    return [x - m for x in at_a], [x + m for x in at_b]
+
+
+def _candidates(generators, a: float, b: float, radius: int):
+    """The words of the radius ball but the zero word, in `word_ball` order,
+    whose bounds lo_v <= g_v(a) and g_v(b) <= hi_v on the exact images do
+    not lie eps clear of (a, b).  Direct evaluation lies within eps of the
+    exact image, so it could not overlap (a, b) for any other word.
+
+    The line construction and translation-only actions are bounded by
+    `_level_bounds`, on the balls of SCREEN_RADII first and then on the
+    full ball, each stage adding its new shells' candidates.  Other
+    generators, and a circle action's lifts, take the step engine: each
+    step evaluates at eps and widens by eps, below a's image and above b's
+    (the maps are increasing, so the bounds hold for the exact images),
+    both endpoints in one walk, one shell at a time.
+    """
+    eps = DEFAULT_EPS
+    rank = len(generators)
+    if _closed_form(generators):
+        screened = 0
+        for stage in sorted({min(r, radius) for r in SCREEN_RADII} | {radius}):
+            lo, hi = _level_bounds(generators, a, b, stage)
+            codes = [code for code, (low, high) in enumerate(zip(lo, hi))
+                     if low - eps < b and high + eps > a]
+            words = [v for v in (word_of(c, rank, stage) for c in codes)
+                     if max(map(abs, v)) > screened]
+            # by sup-norm; the sort is stable, so each shell keeps code
+            # order, which is lexicographic
+            yield from sorted(words, key=lambda v: max(map(abs, v)))
+            screened = stage
+        return
+    size = (2 * radius + 1) ** rank
+    lo = array("d", [a]) * size
+    hi = array("d", [b]) * size
+    shells = word_shells(rank, radius, _steps(generators))
+    next(shells)    # the zero word
+    for codes, preds, moves in shells:
+        for code, pred, move in zip(codes, preds, moves):
+            low, high = lo[pred], hi[pred]
+            for h in move:
+                low = evaluate(h, low, eps) - eps
+                high = evaluate(h, high, eps) + eps
+            lo[code], hi[code] = low, high
+            if low - eps < b and high + eps > a:
+                yield word_of(code, rank, radius)
+
+
+def _ball_position(v) -> int:
+    """The 1-based position of word v in `word_ball` order, whatever the
+    radius: the words of smaller sup-norm s come first, then those of norm
+    s before v lexicographically."""
+    rank = len(v)
+    s = max(map(abs, v), default=0)
+    if s == 0:
+        return 1
+    position = (2 * s - 1) ** rank + 1
+    on_shell = False    # a coordinate of v so far has absolute value s
+    for i, e in enumerate(v):
+        rest = rank - 1 - i
+        cube, inside = (2 * s + 1) ** rest, (2 * s - 1) ** rest
+        # the e + s digits d in [-s, e) before e, followed by any tail that
+        # puts the word on the shell; d = -s puts it there by itself
+        if on_shell:
+            position += (e + s) * cube
+        elif e > -s:
+            position += cube + (e + s - 1) * (cube - inside)
+        on_shell = on_shell or abs(e) == s
+    return position
 
 
 class ProbeVerdict(enum.Enum):
@@ -185,21 +311,24 @@ def transitivity_probe(action, x0: float, eps: float, radius: int,
     """Coverage of the window by eps-bins hit by the orbit sample.
 
     SUPPORTS when every bin is hit; otherwise INCONCLUSIVE (density is
-    never refutable at a finite radius).
+    never refutable at a finite radius).  Only the hit bins are stored, so
+    memory is bounded by the orbit, whatever the number of bins; a window
+    of more eps-bins than a float can count raises ValueError.
     """
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     a, b = float(window[0]), float(window[1])
     if not b > a:
         raise ValueError("window must be a nonempty interval")
+    span = (b - a) / eps
+    if not math.isfinite(span):
+        raise ValueError(
+            f"window ({a}, {b}) holds too many bins of width {eps}")
     sample = orbit(action, x0, radius)
-    bins = max(1, math.ceil((b - a) / eps))
-    hit = [False] * bins
-    for y in sample.points:
-        if a <= y < b:
-            idx = min(int((y - a) / eps), bins - 1)
-            hit[idx] = True
-    coverage = sum(hit) / bins
+    bins = max(1, math.ceil(span))
+    hit = {min(int((y - a) / eps), bins - 1)
+           for y in sample.points if a <= y < b}
+    coverage = len(hit) / bins
     verdict = ProbeVerdict.SUPPORTS if coverage == 1.0 else ProbeVerdict.INCONCLUSIVE
     return ProbeReport(verdict=verdict, coverage=coverage,
                        parameters={"eps": eps, "radius": radius,
@@ -215,6 +344,27 @@ def _identity_on_interval(g: HomeoExpr, a: float, b: float, tol: float,
     return True
 
 
+def _violation(action, v, a: float, b: float, tol: float) -> dict | None:
+    """The certificate of word v when, evaluated from its own tree, it
+    overlaps (a, b) without fixing it pointwise within tol, at eps and again
+    at 10x tighter accuracy; None otherwise."""
+    eps = DEFAULT_EPS
+    g = word_to_homeo(action, v)
+    if not (evaluate(g, a, eps) < b and evaluate(g, b, eps) > a):
+        return None
+    if _identity_on_interval(g, a, b, tol, eps):
+        return None
+    # Certify the violation at 10x tighter accuracy before reporting.
+    fine = eps / 10.0
+    ga_f = evaluate(g, a, fine)
+    gb_f = evaluate(g, b, fine)
+    if not (ga_f < b and gb_f > a):
+        return None
+    if _identity_on_interval(g, a, b, tol, fine):
+        return None
+    return {"word": list(v), "image": [ga_f, gb_f]}
+
+
 def wandering_probe(action, interval: tuple[float, float], radius: int,
                     tol: float = 1e-9) -> ProbeReport:
     """Check the wandering-interval property over a word ball.
@@ -222,63 +372,39 @@ def wandering_probe(action, interval: tuple[float, float], radius: int,
     Every word must either fix the interval pointwise (within tol) or move
     it entirely off itself; interval images are computed from the endpoints,
     which is valid because all maps are monotone.  REFUTES carries the
-    violating word, re-verified at 10x tighter evaluation accuracy.
+    violating word, re-verified at 10x tighter evaluation accuracy, and its
+    coverage is the word's position in `word_ball` order over the ball size.
 
-    Words are screened as in the step engine `_stepped_values`, one step
-    from their neighbour, on a lower bound of g(a) and an upper bound of
-    g(b) that each step widens by the evaluation eps (the maps are
-    increasing, so the bounds hold for the exact images).  A word whose bounds lie eps
-    clear of the interval could not overlap it under direct evaluation
-    either; only the other words are evaluated directly from their trees.
+    Words are screened on a lower bound of g(a) and an upper bound of g(b)
+    (`_candidates`).  For the line construction and translation-only
+    actions these are the level-recursive values at a and at b
+    (`_level_values`), widened by eps and LEVEL_ULPS ulps per level; no
+    word is stepped, and the balls of radius 1 and 2 are bounded before
+    the full ball, so an interval refuted in the first shells never fills
+    it.  Other actions take the step engine's bounds, widened by eps per
+    step.  A word whose bounds lie eps clear of the interval could not
+    overlap it under direct evaluation either; only the other words are
+    evaluated directly from their trees, in `word_ball` order, and a probe
+    with no such word answers SUPPORTS without enumerating the ball.
     """
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError("interval must satisfy a < b")
     if not tol >= 0.0:
         raise ValueError("tol must be nonnegative")
-    rank = len(action.generators)
-    size = check_word_budget(rank, radius)
-    eps = DEFAULT_EPS
-    a_lo = array("d", [a]) * size
-    b_hi = array("d", [b]) * size
-    checked = 0
-    steps = _steps(action.generators)
-    for codes, preds, moves in word_shells(rank, radius, steps):
-        for code, pred, move in zip(codes, preds, moves):
-            checked += 1
-            if not move:
-                continue    # the zero word
-            lo, hi = a_lo[pred], b_hi[pred]
-            for h in move:
-                lo = evaluate(h, lo, eps) - eps
-                hi = evaluate(h, hi, eps) + eps
-            a_lo[code], b_hi[code] = lo, hi
-            if lo - eps >= b or hi + eps <= a:
-                continue
-            v = word_of(code, rank, radius)
-            g = word_to_homeo(action, v)
-            ga = evaluate(g, a, eps)
-            gb = evaluate(g, b, eps)
-            overlaps = ga < b and gb > a
-            if not overlaps:
-                continue
-            if _identity_on_interval(g, a, b, tol, eps):
-                continue
-            # Certify the violation at 10x tighter accuracy before reporting.
-            fine = eps / 10.0
-            ga_f = evaluate(g, a, fine)
-            gb_f = evaluate(g, b, fine)
-            if not (ga_f < b and gb_f > a):
-                continue
-            if _identity_on_interval(g, a, b, tol, fine):
-                continue
+    size = check_word_budget(len(action.generators), radius)
+    for x in (a, b):
+        evaluate(Identity(), x, DEFAULT_EPS)    # rejects a non-finite endpoint
+    parameters = {"interval": [a, b], "radius": radius, "tol": tol}
+    for v in _candidates(action.generators, a, b, radius):
+        certificate = _violation(action, v, a, b, tol)
+        if certificate is not None:
             return ProbeReport(
-                verdict=ProbeVerdict.REFUTES, coverage=checked / size,
-                parameters={"interval": [a, b], "radius": radius, "tol": tol},
-                certificate={"word": list(v), "image": [ga_f, gb_f]})
+                verdict=ProbeVerdict.REFUTES,
+                coverage=_ball_position(v) / size,
+                parameters=parameters, certificate=certificate)
     return ProbeReport(verdict=ProbeVerdict.SUPPORTS, coverage=1.0,
-                       parameters={"interval": [a, b], "radius": radius,
-                                   "tol": tol})
+                       parameters=parameters)
 
 
 def fixed_points(f: CircleHomeo, tol: float = 1e-9) -> list[float]:
