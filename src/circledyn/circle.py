@@ -20,8 +20,10 @@ DEFAULT_EVAL_EPS = DEFAULT_EPS
 
 
 def frac(x: float) -> float:
-    """Fractional part in [0, 1)."""
-    return x - math.floor(x)
+    """Fractional part in [0, 1).  A tiny negative x, whose difference
+    x - floor(x) rounds to 1.0, gives 0.0, the nearest angle on R/Z."""
+    f = x - math.floor(x)
+    return 0.0 if f == 1.0 else f
 
 
 def merge_sorted(values, resolution: float) -> list[float]:

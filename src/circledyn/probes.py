@@ -19,8 +19,7 @@ from .circle import CircleHomeo, frac, merge_circular, merge_sorted
 from .errors import NonIsolatedFixedPointsWarning
 from .expr import (BOUNDARY_DELTA, DEFAULT_EPS, UNIT_EDGES, CellHat,
                    HomeoExpr, Identity, Translate, evaluate, inverse)
-from .groups import (check_word_budget, word_ball, word_of, word_shells,
-                     word_to_homeo)
+from .groups import check_word_budget, word_ball, word_of, word_to_homeo
 
 DEDUP_RESOLUTION = 1e-12
 #: points of an interval at which a word is checked to be the identity
@@ -33,29 +32,17 @@ FIXED_POINT_GRID = 512
 _word_ball = word_ball
 
 
-def _steps(generators) -> list[tuple[HomeoExpr, HomeoExpr]]:
-    """(g_i, g_i^-1) for each generator, on the lifts for circle actions:
-    the moves of `word_shells`."""
-    steps = []
-    for g in generators:
-        h = g.lift if isinstance(g, CircleHomeo) else g
-        steps.append((h, inverse(h)))
-    return steps
-
-
 def _word_values(action, x0: float, radius: int) -> array:
-    """g_v(x0) for every word v of the sup-norm ball, indexed by its
-    `word_shells` code.
+    """g_v(x0) for every word v of the sup-norm ball, indexed by its code
+    (see `word_of`), filled one generator at a time by `_level_values`.
 
-    The line construction is filled level by level (`_level_values`):
-    one chart evaluation per point of each sub-ball instead of up to n - 1
-    nested cell transplants for every word.  Its error does not grow with
-    the level.  hbar has slope <= 1/pi, so a sub-orbit's error shrinks on
-    the way up and each level adds only the rounding of hbar and of the
-    shift; only the base point is pulled back through tan, once per level,
-    as `CellHat._eval` pulls back each word's argument.  Any other
-    generators, and a circle action's lifts, take the step engine
-    (`_stepped_values`).
+    The line construction's levels are closed forms, one chart evaluation
+    per sub-ball point, whose error does not grow with the level: hbar has
+    slope <= 1/pi, so a sub-orbit's error shrinks on the way up and each
+    level adds only the rounding of hbar and of the shift; only the base
+    point is pulled back through tan, once per level, as `CellHat._eval`
+    pulls back each word's argument.  Any other level, a circle action's
+    among them, costs one evaluation per non-zero word (`_stepped_values`).
     """
     check_word_budget(len(action.generators), radius)
     # evaluate rejects a non-finite x0
@@ -66,7 +53,7 @@ def _word_values(action, x0: float, radius: int) -> array:
 def _level_shape(generators) -> str | None:
     """How `_level_values` fills a level of these generators:
     "translations", "cells" (the unit translation followed by unit-cell
-    `CellHat`s) or None (the step engine)."""
+    `CellHat`s) or None (stepped, `_stepped_values`)."""
     head, rest = generators[0], generators[1:]
     if all(type(g) is Translate for g in generators):
         return "translations"
@@ -78,7 +65,8 @@ def _level_shape(generators) -> str | None:
 
 
 def _closed_form(generators) -> bool:
-    """Whether `_level_values` fills every level without the step engine."""
+    """Whether `_level_values` fills every level in closed form, stepping
+    no generator."""
     shape = _level_shape(generators)
     if shape == "cells":
         return _closed_form(tuple(g.inner for g in generators[1:]))
@@ -96,7 +84,8 @@ def _level_values(generators, x: float, radius: int) -> array:
         back to y = hbar^-1(u) as `CellHat._eval` does it, the inners'
         ball is filled at y and pushed forward to m + hbar(.); an x with
         u not in (0, 1) is fixed by every cell transplant;
-      * anything else: the step engine.
+      * anything else: the first generator stepped over the others' ball
+        (`_stepped_values`).
     """
     head, rest = generators[0], generators[1:]
     shape = _level_shape(generators)
@@ -128,21 +117,34 @@ def _level_values(generators, x: float, radius: int) -> array:
     return values
 
 
-def _stepped_values(generators, x: float, radius: int) -> array:
-    """The step engine: the generators commute, so g_v is g_u followed by
-    one generator step per coordinate of v at the shell's norm, where u is
-    v's neighbour in the previous shell (see `word_shells`).  Every word
-    costs one step evaluation (usually), each at DEFAULT_EPS."""
+def _stepped_values(generators, x: float, radius: int,
+                    widen: float = 0.0) -> array:
+    """g_v(x) over the radius ball, in code order, with the first generator
+    (its lift, for a circle action) stepped over the others' ball at x
+    from `_level_values`: each point moves from shift j - 1 to j by one
+    evaluation of g_1, or of its inverse for j < 0, at DEFAULT_EPS.  That
+    is one evaluation per non-zero word, in the order of the word's tree.
+
+    A non-zero widen gives bounds instead: every level is stepped and each
+    step moves its result by widen, -eps for the images of a lower endpoint
+    and +eps for an upper one; the maps are increasing, so these bound the
+    exact images.
+    """
+    head, rest = generators[0], generators[1:]
+    if not rest:
+        cell = [x]
+    elif widen:
+        cell = _stepped_values(rest, x, radius, widen).tolist()
+    else:
+        cell = _level_values(rest, x, radius).tolist()
+    h = head.lift if isinstance(head, CircleHomeo) else head
     eps = DEFAULT_EPS
-    rank = len(generators)
-    values = array("d", [x]) * (2 * radius + 1) ** rank
-    for codes, preds, moves in word_shells(rank, radius, _steps(generators)):
-        for code, pred, move in zip(codes, preds, moves):
-            y = values[pred]
-            for h in move:
-                y = evaluate(h, y, eps)
-            values[code] = y
-    return values
+    up, down = [cell], [cell]    # shifts 0, 1, ..., radius and 0, -1, ...
+    for rows, step in ((up, h), (down, inverse(h))):
+        for _ in range(radius):
+            row = [evaluate(step, y, eps) for y in rows[-1]]
+            rows.append([y + widen for y in row] if widen else row)
+    return array("d", [y for row in down[:0:-1] + up for y in row])
 
 
 #: the wandering screen bounds the balls of these radii before the full one,
@@ -155,9 +157,9 @@ LEVEL_ULPS = 8
 
 def _level_bounds(generators, a: float, b: float, radius: int):
     """(lo, hi) in code order for generators that `_level_values` fills
-    without the step engine (the line construction, translation-only
-    actions): lo[c] is a lower bound of g_v(a) and hi[c] an upper bound of
-    g_v(b), with eps to spare, for the word v coded c.
+    in closed form (the line construction, translation-only actions):
+    lo[c] is a lower bound of g_v(a) and hi[c] an upper bound of g_v(b),
+    with eps to spare, for the word v coded c.
 
     That is, lo_v <= evaluate(g_v, a, eps) - eps <= g_v(a) and the mirror
     for hi_v, where eps = DEFAULT_EPS.  lo_v = level_a[v] - m and
@@ -182,49 +184,40 @@ def _level_bounds(generators, a: float, b: float, radius: int):
     return [x - m for x in at_a], [x + m for x in at_b]
 
 
+def _stepped_bounds(generators, a: float, b: float, radius: int):
+    """(lo, hi) in code order for any generators: `_stepped_values` at a
+    widened by -eps per step and at b by +eps, eps = DEFAULT_EPS, so that
+    lo_v <= g_v(a) and g_v(b) <= hi_v on the exact images."""
+    eps = DEFAULT_EPS
+    return (_stepped_values(generators, a, radius, -eps),
+            _stepped_values(generators, b, radius, eps))
+
+
 def _candidates(generators, a: float, b: float, radius: int):
     """The words of the radius ball but the zero word, in `word_ball` order,
     whose bounds lo_v <= g_v(a) and g_v(b) <= hi_v on the exact images do
     not lie eps clear of (a, b).  Direct evaluation lies within eps of the
     exact image, so it could not overlap (a, b) for any other word.
 
-    The line construction and translation-only actions are bounded by
-    `_level_bounds`, on the balls of SCREEN_RADII first and then on the
-    full ball, each stage adding its new shells' candidates.  Other
-    generators, and a circle action's lifts, take the step engine: each
-    step evaluates at eps and widens by eps, below a's image and above b's
-    (the maps are increasing, so the bounds hold for the exact images),
-    both endpoints in one walk, one shell at a time.
+    The balls of SCREEN_RADII are bounded first and then the full ball,
+    each stage adding its new shells' candidates.  The line construction
+    and translation-only actions are bounded by `_level_bounds`, any other
+    generators, a circle action's lifts among them, by `_stepped_bounds`.
     """
     eps = DEFAULT_EPS
     rank = len(generators)
-    if _closed_form(generators):
-        screened = 0
-        for stage in sorted({min(r, radius) for r in SCREEN_RADII} | {radius}):
-            lo, hi = _level_bounds(generators, a, b, stage)
-            codes = [code for code, (low, high) in enumerate(zip(lo, hi))
-                     if low - eps < b and high + eps > a]
-            words = [v for v in (word_of(c, rank, stage) for c in codes)
-                     if max(map(abs, v)) > screened]
-            # by sup-norm; the sort is stable, so each shell keeps code
-            # order, which is lexicographic
-            yield from sorted(words, key=lambda v: max(map(abs, v)))
-            screened = stage
-        return
-    size = (2 * radius + 1) ** rank
-    lo = array("d", [a]) * size
-    hi = array("d", [b]) * size
-    shells = word_shells(rank, radius, _steps(generators))
-    next(shells)    # the zero word
-    for codes, preds, moves in shells:
-        for code, pred, move in zip(codes, preds, moves):
-            low, high = lo[pred], hi[pred]
-            for h in move:
-                low = evaluate(h, low, eps) - eps
-                high = evaluate(h, high, eps) + eps
-            lo[code], hi[code] = low, high
-            if low - eps < b and high + eps > a:
-                yield word_of(code, rank, radius)
+    bounds = _level_bounds if _closed_form(generators) else _stepped_bounds
+    screened = 0
+    for stage in sorted({min(r, radius) for r in SCREEN_RADII} | {radius}):
+        lo, hi = bounds(generators, a, b, stage)
+        codes = [code for code, (low, high) in enumerate(zip(lo, hi))
+                 if low - eps < b and high + eps > a]
+        words = [v for v in (word_of(c, rank, stage) for c in codes)
+                 if max(map(abs, v)) > screened]
+        # by sup-norm; the sort is stable, so each shell keeps code
+        # order, which is lexicographic
+        yield from sorted(words, key=lambda v: max(map(abs, v)))
+        screened = stage
 
 
 def _ball_position(v) -> int:
@@ -291,12 +284,13 @@ def orbit(action, x0: float, radius: int) -> OrbitSample:
     """Evaluate every word in the sup-norm ball at x0.
 
     Line actions return points on R; circle actions return angles in [0, 1).
-    The line construction's ball is filled level by level, one chart
-    evaluation per sub-ball point, with the per-level error argument of
-    `_word_values`; other actions step each word from a neighbour.  Points
-    are sorted, and a point less than DEDUP_RESOLUTION above the
-    last point kept is merged into it; on the circle the largest angle is
-    also merged into the smallest when they are that close across 0.
+    The ball is filled one generator at a time (`_word_values`): the line
+    construction's levels by one chart evaluation per sub-ball point, any
+    other level, a circle action's among them, by one evaluation per
+    non-zero word.  Points are sorted, and a point less than
+    DEDUP_RESOLUTION above the last point kept is merged into it; on the
+    circle the largest angle is also merged into the smallest when they
+    are that close across 0.
     """
     values = _word_values(action, x0, radius)
     if _is_circle(action):
@@ -376,13 +370,13 @@ def wandering_probe(action, interval: tuple[float, float], radius: int,
     coverage is the word's position in `word_ball` order over the ball size.
 
     Words are screened on a lower bound of g(a) and an upper bound of g(b)
-    (`_candidates`).  For the line construction and translation-only
-    actions these are the level-recursive values at a and at b
-    (`_level_values`), widened by eps and LEVEL_ULPS ulps per level; no
-    word is stepped, and the balls of radius 1 and 2 are bounded before
-    the full ball, so an interval refuted in the first shells never fills
-    it.  Other actions take the step engine's bounds, widened by eps per
-    step.  A word whose bounds lie eps clear of the interval could not
+    (`_candidates`), filled one generator at a time as `orbit` fills the
+    ball: for the line construction and translation-only actions the
+    level-recursive values at a and at b, widened by eps and LEVEL_ULPS
+    ulps per level, for other actions stepped values widened by eps per
+    step.  The balls of radius 1 and 2 are bounded before the full ball,
+    so an interval refuted in the first shells never fills it.  A word
+    whose bounds lie eps clear of the interval could not
     overlap it under direct evaluation either; only the other words are
     evaluated directly from their trees, in `word_ball` order, and a probe
     with no such word answers SUPPORTS without enumerating the ball.

@@ -19,7 +19,7 @@ from circledyn import (CircleHomeo, Translate, ZnAction, build_circle_action,
 from circledyn import probes
 from circledyn.errors import DomainError
 from circledyn.expr import DEFAULT_EPS
-from circledyn.groups import check_word_budget, word_of, word_shells
+from circledyn.groups import check_word_budget
 from circledyn.probes import ProbeReport, ProbeVerdict, _level_bounds
 
 ALPHA = parse_quad_irrational("sqrt(2)-1")
@@ -82,7 +82,10 @@ def _identity_on_interval(g, a, b, tol, eps):
 def _stepped_wandering(action, interval, radius, tol=1e-9):
     """The former probe: every word stepped from its neighbour on bounds
     that widen by eps per step, and the words the bounds cannot rule out
-    evaluated from their trees."""
+    evaluated from their trees.  A word's neighbour has every coordinate of
+    largest absolute value moved one step toward 0, and the word is its
+    neighbour followed by one generator step per such coordinate, in
+    coordinate order."""
     a, b = float(interval[0]), float(interval[1])
     rank = len(action.generators)
     size = check_word_budget(rank, radius)
@@ -91,38 +94,40 @@ def _stepped_wandering(action, interval, radius, tol=1e-9):
     for g in action.generators:
         h = g.lift if isinstance(g, CircleHomeo) else g
         steps.append((h, inverse(h)))
-    a_lo = [a] * size
-    b_hi = [b] * size
+    bounds = {}
     checked = 0
-    for codes, preds, moves in word_shells(rank, radius, steps):
-        for code, pred, move in zip(codes, preds, moves):
-            checked += 1
-            if not move:
-                continue
-            lo, hi = a_lo[pred], b_hi[pred]
-            for h in move:
+    for v in word_ball(rank, radius):
+        checked += 1
+        s = max(map(abs, v))
+        if s == 0:
+            bounds[v] = (a, b)
+            continue
+        pred = tuple(e - (e > 0) + (e < 0) if abs(e) == s else e for e in v)
+        lo, hi = bounds[pred]
+        for i, e in enumerate(v):
+            if abs(e) == s:
+                h = steps[i][0 if e > 0 else 1]
                 lo = evaluate(h, lo, eps) - eps
                 hi = evaluate(h, hi, eps) + eps
-            a_lo[code], b_hi[code] = lo, hi
-            if lo - eps >= b or hi + eps <= a:
-                continue
-            v = word_of(code, rank, radius)
-            g = word_to_homeo(action, v)
-            if not (evaluate(g, a, eps) < b and evaluate(g, b, eps) > a):
-                continue
-            if _identity_on_interval(g, a, b, tol, eps):
-                continue
-            fine = eps / 10.0
-            ga_f = evaluate(g, a, fine)
-            gb_f = evaluate(g, b, fine)
-            if not (ga_f < b and gb_f > a):
-                continue
-            if _identity_on_interval(g, a, b, tol, fine):
-                continue
-            return ProbeReport(
-                verdict=ProbeVerdict.REFUTES, coverage=checked / size,
-                parameters={"interval": [a, b], "radius": radius, "tol": tol},
-                certificate={"word": list(v), "image": [ga_f, gb_f]})
+        bounds[v] = (lo, hi)
+        if lo - eps >= b or hi + eps <= a:
+            continue
+        g = word_to_homeo(action, v)
+        if not (evaluate(g, a, eps) < b and evaluate(g, b, eps) > a):
+            continue
+        if _identity_on_interval(g, a, b, tol, eps):
+            continue
+        fine = eps / 10.0
+        ga_f = evaluate(g, a, fine)
+        gb_f = evaluate(g, b, fine)
+        if not (ga_f < b and gb_f > a):
+            continue
+        if _identity_on_interval(g, a, b, tol, fine):
+            continue
+        return ProbeReport(
+            verdict=ProbeVerdict.REFUTES, coverage=checked / size,
+            parameters={"interval": [a, b], "radius": radius, "tol": tol},
+            certificate={"word": list(v), "image": [ga_f, gb_f]})
     return ProbeReport(verdict=ProbeVerdict.SUPPORTS, coverage=1.0,
                        parameters={"interval": [a, b], "radius": radius,
                                    "tol": tol})
