@@ -20,10 +20,10 @@ DEFAULT_EVAL_EPS = DEFAULT_EPS
 
 
 def frac(x: float) -> float:
-    """Fractional part in [0, 1).  A tiny negative x, whose difference
-    x - floor(x) rounds to 1.0, gives 0.0, the nearest angle on R/Z."""
+    """Fractional part in [0, 1), never -0.0.  A tiny negative x, whose
+    difference x - floor(x) rounds to 1.0, gives 0.0, the nearest angle."""
     f = x - math.floor(x)
-    return 0.0 if f == 1.0 else f
+    return 0.0 if f == 1.0 else f + 0.0
 
 
 def merge_sorted(values, resolution: float) -> list[float]:

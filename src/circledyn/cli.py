@@ -140,6 +140,8 @@ def _alpha_jsonable(alpha: QuadIrrational | None):
 def _alpha_from_jsonable(doc) -> QuadIrrational | None:
     if doc is None:
         return None
+    if not isinstance(doc, dict):
+        raise ValueError("alpha must be an object {p, q, d, r} or null")
     return QuadIrrational(doc["p"], doc["q"], doc["d"], doc["r"])
 
 
@@ -162,13 +164,32 @@ def action_from_bundle(doc: dict):
     if space == "circle":
         if alpha is None:
             raise ValueError("circle bundles need exact alpha data")
-        return build_circle_action(alpha, doc["n"], doc["k"], doc["g_word"])
+        action = build_circle_action(alpha, doc["n"], doc["k"], doc["g_word"])
+        _check_rebuilt(doc, "generators",
+                       [g.lift for g in action.generators], expr_from_jsonable)
+        _check_rebuilt(doc, "marked_angles", list(action.marked_angles))
+        return action
     if "generators" in doc:
         gens = tuple(expr_from_jsonable(g) for g in doc["generators"])
         return ZnAction(n=doc["n"], generators=gens, alpha=alpha)
     if alpha is None:
         raise ValueError("line bundles need either generators or alpha")
     return build_line_action(alpha, doc["n"])
+
+
+def _check_rebuilt(doc: dict, name: str, rebuilt: list, load=lambda v: v):
+    """Raise ValueError at the first index where the circle bundle's list
+    doc[name], if written, differs from the rebuilt action's."""
+    if name not in doc:
+        return
+    written = doc[name]
+    if not isinstance(written, list):
+        raise ValueError(f"circle bundle field {name!r} must be a list")
+    written = [load(v) for v in written]
+    for i in range(max(len(written), len(rebuilt))):
+        if written[i:i + 1] != rebuilt[i:i + 1]:
+            raise ValueError(f"circle bundle field {name}[{i}] does not match "
+                             "the action rebuilt from (alpha, n, k, g_word)")
 
 
 def _load_json(path: str) -> dict:

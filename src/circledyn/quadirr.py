@@ -12,11 +12,19 @@ cyclic words.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 
+#: Largest radicand: splitting off its square factors is trial division up
+#: to sqrt(d), and the continued fraction period grows like sqrt(d).
+MAX_RADICAND = 10**10
+
+
+@functools.lru_cache(maxsize=128)
 def _squarefree_split(d: int) -> tuple[int, int]:
     """Return (s, d0) with d = s*s*d0 and d0 squarefree."""
     s = 1
@@ -30,31 +38,30 @@ def _squarefree_split(d: int) -> tuple[int, int]:
     return s, d0
 
 
-def _sign(n: int) -> int:
-    return (n > 0) - (n < 0)
-
-
 class QuadIrrational:
-    """Canonical exact quadratic irrational (p + q*sqrt(d)) / r."""
+    """Canonical exact quadratic irrational (p + q*sqrt(d)) / r.
+
+    The arithmetic operators combine it exactly with ints, Fractions and
+    QuadIrrationals over the same d; a rational result is a Fraction."""
 
     __slots__ = ("p", "q", "d", "r")
 
     def __init__(self, p: int, q: int, d: int, r: int = 1):
-        p, q, d, r = int(p), int(q), int(d), int(r)
+        if not type(p) is type(q) is type(d) is type(r) is int:
+            raise ValueError("p, q, d and r must be integers")
         if r == 0:
             raise ValueError("denominator r must be nonzero")
         if q == 0:
             raise ValueError("q = 0 would make the value rational")
-        if d <= 0:
-            raise ValueError("d must be a positive integer")
-        s, d0 = _squarefree_split(d)
+        if not 0 < d <= MAX_RADICAND:
+            raise ValueError("d must satisfy 0 < d <= MAX_RADICAND = 10**10")
+        s, d = _squarefree_split(d)
         q *= s
-        d = d0
         if d == 1:
             raise ValueError("d must not be a perfect square (value would be rational)")
         if r < 0:
             p, q, r = -p, -q, -r
-        g = math.gcd(math.gcd(abs(p), abs(q)), r)
+        g = math.gcd(p, q, r)
         self.p = p // g
         self.q = q // g
         self.d = d
@@ -76,17 +83,7 @@ class QuadIrrational:
 
     def compare_fraction(self, t: Fraction) -> int:
         """Exact sign of self - t (never 0; the value is irrational)."""
-        # sign of (p*den - num*r) + q*den*sqrt(d)
-        t = Fraction(t)
-        a = self.p * t.denominator - t.numerator * self.r
-        b = self.q * t.denominator
-        if b > 0:
-            if a >= 0:
-                return 1
-            return _sign(b * b * self.d - a * a)
-        if a <= 0:
-            return -1
-        return _sign(a * a - b * b * self.d)
+        return 1 if (self - Fraction(t)).floor() >= 0 else -1
 
     def __lt__(self, other):
         return self.compare_fraction(Fraction(other)) < 0
@@ -94,11 +91,14 @@ class QuadIrrational:
     def __gt__(self, other):
         return self.compare_fraction(Fraction(other)) > 0
 
+    def _surd(self) -> tuple[int, int, int]:
+        """(P, D, Q) with self = (P + sqrt(D)) / Q."""
+        sign = 1 if self.q > 0 else -1
+        return sign * self.p, self.q * self.q * self.d, sign * self.r
+
     def floor(self) -> int:
-        # floor((p + xi)/r) = (p + floor(xi)) // r for irrational xi, r > 0
-        s = math.isqrt(self.q * self.q * self.d)
-        surd_floor = s if self.q > 0 else -s - 1
-        return (self.p + surd_floor) // self.r
+        P, D, Q = self._surd()
+        return _floor_surd(P, math.isqrt(D), Q)
 
     def value(self, eps: float = 1e-15) -> float:
         """Float approximation with |result - exact| <= eps, via integer
@@ -113,45 +113,71 @@ class QuadIrrational:
     def __float__(self):
         return self.value(1e-18)
 
-    # arithmetic with exact rationals (results stay irrational)
-
-    def _with_rational(self, t: Fraction, op: str) -> "QuadIrrational":
-        t = Fraction(t)
-        if op == "add":
-            p = self.p * t.denominator + t.numerator * self.r
-            return QuadIrrational(p, self.q * t.denominator, self.d,
-                                  self.r * t.denominator)
-        if op == "mul":
-            if t == 0:
-                raise ValueError("multiplying by zero gives a rational")
-            return QuadIrrational(self.p * t.numerator, self.q * t.numerator,
-                                  self.d, self.r * t.denominator)
-        raise AssertionError(op)
-
     def __add__(self, other):
-        return self._with_rational(Fraction(other), "add")
+        return _combine(self, other, "+")
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._with_rational(-Fraction(other), "add")
+        return _combine(self, -other, "+")
 
     def __rsub__(self, other):
-        return (-self)._with_rational(Fraction(other), "add")
+        return _combine(other, -self, "+")
 
     def __neg__(self):
         return QuadIrrational(-self.p, -self.q, self.d, self.r)
 
     def __mul__(self, other):
-        return self._with_rational(Fraction(other), "mul")
+        return _combine(self, other, "*")
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._with_rational(Fraction(1, 1) / Fraction(other), "mul")
+        return _combine(self, other, "/")
+
+    def __rtruediv__(self, other):
+        return _combine(other, self, "/")
 
     def as_jsonable(self):
         return {"p": self.p, "q": self.q, "d": self.d, "r": self.r}
+
+
+def _parts(x) -> tuple[int, int, int, int] | None:
+    """(p, q, d, r) with x = (p + q*sqrt(d)) / r, where d = 0 for an int or
+    Fraction x; None for any other type."""
+    if isinstance(x, QuadIrrational):
+        return x.p, x.q, x.d, x.r
+    if isinstance(x, int):
+        return x, 0, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, 0, x.denominator
+    return None
+
+
+def _combine(x, y, op: str):
+    """x + y, x * y or x / y (op "+", "*" or "/") in Q(sqrt(d)), exactly:
+    a QuadIrrational, or a Fraction when the result is rational.
+
+    Raises ValueError for two different radicands and ZeroDivisionError
+    for a zero divisor, and returns NotImplemented for an operand of any
+    other type."""
+    xs, ys = _parts(x), _parts(y)
+    if xs is None or ys is None:
+        return NotImplemented
+    (a, b, d, r), (c, e, dy, s) = xs, ys
+    if d and dy and d != dy:
+        raise ValueError("mixed sqrt radicands are not supported")
+    d = d or dy
+    if op == "/":
+        # x / y = x * conj(y) / N(y): 1/y = s*(c - e*sqrt(d)) / (c*c - e*e*d)
+        c, e, s = s * c, -s * e, c * c - e * e * d
+        if s == 0:
+            raise ZeroDivisionError("division by zero in Q(sqrt(d))")
+    if op == "+":
+        p, q = a * s + c * r, b * s + e * r
+    else:
+        p, q = a * c + b * e * d, a * e + b * c
+    return QuadIrrational(p, q, d, r * s) if q else Fraction(p, r * s)
 
 
 def sqrt_of(d: int) -> QuadIrrational:
@@ -186,18 +212,7 @@ class Gl2zMatrix:
 
 def mobius_apply(M: Gl2zMatrix, x: QuadIrrational) -> QuadIrrational:
     """(m1 + n1*x) / (m2 + n2*x), exactly, in canonical form."""
-    # Numerator and denominator over the common denominator r:
-    #   A + B*sqrt(d)  over  C + D*sqrt(d)
-    A = M.m1 * x.r + M.n1 * x.p
-    B = M.n1 * x.q
-    C = M.m2 * x.r + M.n2 * x.p
-    D = M.n2 * x.q
-    denom = C * C - D * D * x.d
-    if denom == 0:
-        raise ZeroDivisionError("Moebius denominator vanished (x not irrational?)")
-    p = A * C - B * D * x.d
-    q = B * C - A * D
-    return QuadIrrational(p, q, x.d, denom)
+    return (M.m1 + M.n1 * x) / (M.m2 + M.n2 * x)
 
 
 class CfExpansion:
@@ -267,11 +282,7 @@ def _floor_surd(P: int, sqrtD: int, Q: int) -> int:
 
 def cf_expand(x: QuadIrrational) -> CfExpansion:
     """Exact eventually periodic expansion via the integer surd recurrence."""
-    if x.q > 0:
-        P, Q = x.p, x.r
-    else:
-        P, Q = -x.p, -x.r
-    D = x.q * x.q * x.d
+    P, D, Q = x._surd()
     if (D - P * P) % Q != 0:
         a = abs(Q)
         P *= a
@@ -359,76 +370,27 @@ def gl2z_equivalent(x: QuadIrrational,
 # irrational.  Examples: "sqrt(2)-1", "(0+1*sqrt(2))/1 - 1", "golden - 1".
 
 
-class _Surd:
-    """Field element a + b*sqrt(d) with Fraction coefficients (d may be None
-    while the value is still rational)."""
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a, b=0, d=None):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.d = d if self.b != 0 else None
-
-    def _join(self, other) -> int | None:
-        if self.d is not None and other.d is not None and self.d != other.d:
-            raise ValueError("mixed sqrt radicands are not supported")
-        return self.d if self.d is not None else other.d
-
-    def __add__(self, other):
-        return _Surd(self.a + other.a, self.b + other.b, self._join(other))
-
-    def __sub__(self, other):
-        return _Surd(self.a - other.a, self.b - other.b, self._join(other))
-
-    def __neg__(self):
-        return _Surd(-self.a, -self.b, self.d)
-
-    def __mul__(self, other):
-        d = self._join(other)
-        dd = d if d is not None else 0
-        return _Surd(self.a * other.a + self.b * other.b * dd,
-                     self.a * other.b + self.b * other.a, d)
-
-    def __truediv__(self, other):
-        d = self._join(other)
-        dd = d if d is not None else 0
-        norm = other.a * other.a - other.b * other.b * dd
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in quadratic field")
-        conj = _Surd(other.a, -other.b, d)
-        num = self * conj
-        return _Surd(num.a / norm, num.b / norm, d)
+_TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d_]+)|([-+*/()]))")
 
 
 def _tokenize(text: str) -> list:
     tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "+-*/()":
-            tokens.append(c)
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(int(text[i:j]))
-            i = j
-        elif c.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise ValueError(f"unexpected character {c!r} in {text!r}")
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
+        match = _TOKEN.match(text, pos)
+        if match is None:
+            raise ValueError(f"unexpected character "
+                             f"{text[pos:].lstrip()[0]!r} in {text!r}")
+        number, word, op = match.groups()
+        tokens.append(int(number) if number else word or op)
+        pos = match.end()
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the grammar above; a value is a Fraction
+    while it is rational and a QuadIrrational once it is not."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
@@ -443,7 +405,7 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse_expr(self) -> _Surd:
+    def parse_expr(self):
         negate = False
         if self.peek() == "-":
             self.take()
@@ -457,7 +419,7 @@ class _Parser:
             acc = acc + rhs if op == "+" else acc - rhs
         return acc
 
-    def parse_term(self) -> _Surd:
+    def parse_term(self):
         acc = self.parse_factor()
         while self.peek() in ("*", "/"):
             op = self.take()
@@ -465,25 +427,23 @@ class _Parser:
             acc = acc * rhs if op == "*" else acc / rhs
         return acc
 
-    def parse_factor(self) -> _Surd:
+    def parse_factor(self):
         tok = self.peek()
         if isinstance(tok, int):
             self.take()
-            return _Surd(tok)
+            return Fraction(tok)
         if tok == "sqrt":
             self.take()
             self.take("(")
             d = self.take()
-            if not isinstance(d, int) or d <= 0:
-                raise ValueError("sqrt needs a positive integer radicand")
+            if not isinstance(d, int) or not 0 < d <= MAX_RADICAND:
+                raise ValueError("sqrt(d) needs 0 < d <= MAX_RADICAND = 10**10")
             self.take(")")
-            s, d0 = _squarefree_split(d)
-            if d0 == 1:
-                return _Surd(s)
-            return _Surd(0, s, d0)
+            root = math.isqrt(d)
+            return Fraction(root) if root * root == d else QuadIrrational(0, 1, d)
         if tok == "golden":
             self.take()
-            return _Surd(Fraction(1, 2), Fraction(1, 2), 5)
+            return golden_ratio()
         if tok == "(":
             self.take()
             inner = self.parse_expr()
@@ -494,12 +454,16 @@ class _Parser:
 
 def parse_quad_irrational(text: str) -> QuadIrrational:
     """Parse the textual grammar; raises ValueError when the value is
-    rational or the input malformed."""
+    rational, the input malformed or a divisor zero."""
     parser = _Parser(_tokenize(text))
-    surd = parser.parse_expr()
+    try:
+        value = parser.parse_expr()
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} divides by zero") from None
+    except RecursionError:
+        raise ValueError(f"{text!r} nests parentheses too deeply") from None
     if parser.peek() is not None:
         raise ValueError(f"trailing input at token {parser.peek()!r}")
-    if surd.b == 0 or surd.d is None:
+    if not isinstance(value, QuadIrrational):
         raise ValueError(f"{text!r} denotes a rational number")
-    r = math.lcm(surd.a.denominator, surd.b.denominator)
-    return QuadIrrational(int(surd.a * r), int(surd.b * r), surd.d, r)
+    return value
