@@ -47,7 +47,7 @@ class QuadIrrational:
     __slots__ = ("p", "q", "d", "r")
 
     def __init__(self, p: int, q: int, d: int, r: int = 1):
-        if not type(p) is type(q) is type(d) is type(r) is int:
+        if not (type(p) is type(q) is type(d) is type(r) is int):
             raise ValueError("p, q, d and r must be integers")
         if r == 0:
             raise ValueError("denominator r must be nonzero")
