@@ -158,23 +158,38 @@ def action_to_bundle(action) -> dict:
             "generators": [expr_to_jsonable(g) for g in action.generators]}
 
 
+def _bundle_int(doc: dict, name: str) -> int:
+    """The bundle field doc[name], which must be a JSON integer."""
+    value = doc[name]
+    if type(value) is not int:
+        raise ValueError(f"bundle field {name!r} must be an integer, "
+                         f"got {value!r}")
+    return value
+
+
 def action_from_bundle(doc: dict):
     space = doc.get("space", "line")
     alpha = _alpha_from_jsonable(doc.get("alpha"))
     if space == "circle":
         if alpha is None:
             raise ValueError("circle bundles need exact alpha data")
-        action = build_circle_action(alpha, doc["n"], doc["k"], doc["g_word"])
+        g_word = doc["g_word"]
+        if not (isinstance(g_word, list)
+                and all(type(e) is int for e in g_word)):
+            raise ValueError(f"bundle field 'g_word' must be a list of "
+                             f"integers, got {g_word!r}")
+        action = build_circle_action(alpha, _bundle_int(doc, "n"),
+                                     _bundle_int(doc, "k"), g_word)
         _check_rebuilt(doc, "generators",
                        [g.lift for g in action.generators], expr_from_jsonable)
         _check_rebuilt(doc, "marked_angles", list(action.marked_angles))
         return action
     if "generators" in doc:
         gens = tuple(expr_from_jsonable(g) for g in doc["generators"])
-        return ZnAction(n=doc["n"], generators=gens, alpha=alpha)
+        return ZnAction(n=_bundle_int(doc, "n"), generators=gens, alpha=alpha)
     if alpha is None:
         raise ValueError("line bundles need either generators or alpha")
-    return build_line_action(alpha, doc["n"])
+    return build_line_action(alpha, _bundle_int(doc, "n"))
 
 
 def _check_rebuilt(doc: dict, name: str, rebuilt: list, load=lambda v: v):

@@ -376,7 +376,8 @@ class PiecewiseMonotone(HomeoExpr):
     """
 
     __slots__ = ("xs", "ys", "interpolation", "extension",
-                 "_segments", "_lo_slope", "_hi_slope")
+                 "_segments", "_lo_slope", "_hi_slope",
+                 "_periodic", "_x_first", "_x_wrap", "_x_last", "_last")
     kind = "piecewise_monotone"
     fields = ("xs", "ys", "interpolation", "extension")
 
@@ -408,6 +409,11 @@ class PiecewiseMonotone(HomeoExpr):
         self._segments = self._cubic_segments() if interpolation == "cubic" else None
         self._lo_slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
         self._hi_slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+        # the constants `_eval` reads on every call; _last indexes the last
+        # knot, whose segment is the wrap segment of a periodic table
+        self._periodic = extension == "periodic"
+        self._x_first, self._x_wrap = xs[0], xs[0] + 1.0
+        self._x_last, self._last = xs[-1], len(xs) - 1
 
     def _compute_tangents(self):
         xs, ys = self.xs, self.ys
@@ -454,18 +460,19 @@ class PiecewiseMonotone(HomeoExpr):
 
     def _eval(self, x, eps):
         xs, ys = self.xs, self.ys
-        periodic = self.extension == "periodic"
+        x_first = self._x_first
+        periodic = self._periodic
         if periodic:
-            m = floor(x - xs[0])
+            m = floor(x - x_first)
             t = x - m
-            if t < xs[0]:
+            if t < x_first:
                 m -= 1
                 t = x - m
-            elif t >= xs[0] + 1.0:
+            elif t >= self._x_wrap:
                 m += 1
                 t = x - m
-            if t >= xs[-1]:
-                i = len(xs) - 1     # the wrap segment
+            if t >= self._x_last:
+                i = self._last      # the wrap segment
             else:
                 i = bisect_right(xs, t) - 1
                 if i < 0:
@@ -473,10 +480,10 @@ class PiecewiseMonotone(HomeoExpr):
                 if t == xs[i]:
                     return ys[i] + m
         else:
-            if x <= xs[0]:
-                return ys[0] + (x - xs[0]) * self._lo_slope
-            if x >= xs[-1]:
-                return ys[-1] + (x - xs[-1]) * self._hi_slope
+            if x <= x_first:
+                return ys[0] + (x - x_first) * self._lo_slope
+            if x >= self._x_last:
+                return ys[-1] + (x - self._x_last) * self._hi_slope
             i = bisect_right(xs, x) - 1
             if x == xs[i]:
                 return ys[i]
@@ -484,8 +491,8 @@ class PiecewiseMonotone(HomeoExpr):
         segments = self._segments
         if segments is None:
             x0, y0 = xs[i], ys[i]
-            if i == len(xs) - 1:
-                x1, y1 = xs[0] + 1.0, ys[0] + 1.0
+            if i == self._last:
+                x1, y1 = self._x_wrap, ys[0] + 1.0
             else:
                 x1, y1 = xs[i + 1], ys[i + 1]
             v = y0 + (t - x0) * (y1 - y0) / (x1 - x0)

@@ -59,6 +59,10 @@ class QuadIrrational:
         q *= s
         if d == 1:
             raise ValueError("d must not be a perfect square (value would be rational)")
+        self._assign(p, q, d, r)
+
+    def _assign(self, p: int, q: int, d: int, r: int):
+        """Store the value with r > 0 and gcd(p, q, r) = 1."""
         if r < 0:
             p, q, r = -p, -q, -r
         g = math.gcd(p, q, r)
@@ -66,6 +70,15 @@ class QuadIrrational:
         self.q = q // g
         self.d = d
         self.r = r // g
+
+    @classmethod
+    def _canonical(cls, p: int, q: int, d: int, r: int) -> "QuadIrrational":
+        """The constructor for results of canonical operands: ints p, q != 0,
+        r != 0 and a square-free d >= 2.  It skips the checks and the
+        radicand split of __init__ and keeps only the sign and gcd step."""
+        x = object.__new__(cls)
+        x._assign(p, q, d, r)
+        return x
 
     def _tuple(self):
         return (self.p, self.q, self.d, self.r)
@@ -125,7 +138,7 @@ class QuadIrrational:
         return _combine(other, -self, "+")
 
     def __neg__(self):
-        return QuadIrrational(-self.p, -self.q, self.d, self.r)
+        return QuadIrrational._canonical(-self.p, -self.q, self.d, self.r)
 
     def __mul__(self, other):
         return _combine(self, other, "*")
@@ -177,7 +190,7 @@ def _combine(x, y, op: str):
         p, q = a * s + c * r, b * s + e * r
     else:
         p, q = a * c + b * e * d, a * e + b * c
-    return QuadIrrational(p, q, d, r * s) if q else Fraction(p, r * s)
+    return QuadIrrational._canonical(p, q, d, r * s) if q else Fraction(p, r * s)
 
 
 def sqrt_of(d: int) -> QuadIrrational:

@@ -6,6 +6,13 @@ justified by the displacement bound |F^N(x) - x - N*rho| <= 1 for liftings
 of circle homeomorphisms.  Iteration happens on the reduced angle in [0, 1)
 with an exact integer deck count, so accuracy does not degrade as the lift
 value grows.
+
+Conjugate maps share their rotation number, and the identity behind it,
+(psi o G o psi^-1)^N = psi o G^N o psi^-1, is exact: `rotation_number`
+iterates a closed-form conjugate lift T_s o psi o G o psi^-1 through G
+alone, with psi^-1 and psi evaluated once each (`_conjugate_split`).
+`approximate_poincare_conjugacy` iterates its map whole, since it matches
+the map's own orbit.
 """
 
 from __future__ import annotations
@@ -13,12 +20,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .circle import CircleHomeo, circular_distance, frac, merge_sorted
 from .errors import (DomainError, HasFixedPointError, PrecisionError,
                      RationalRotationError, OrbitTieWarning)
-from .expr import (HomeoExpr, PiecewiseMonotone, _register, compose_all,
-                   evaluate, inverse)
+from .expr import (CellHat, Compose, HomeoExpr, Identity, PiecewiseMonotone,
+                   Translate, _register, compose_all, evaluate, inverse)
 
 TIE_RESOLUTION = 1e-12
 #: conjugate_to_translation checks f(x) > x at DISPLACEMENT_GRID equispaced
@@ -47,13 +55,70 @@ class RotationEstimate:
 _STEP_EPS_FLOOR = 5e-16
 
 
+def _integer_shift(h: HomeoExpr) -> int | None:
+    """The amount of h when h is a translation by an integer, else None."""
+    if (isinstance(h, Translate) and isinstance(h.amount, (int, Fraction))
+            and h.amount.denominator == 1):
+        return int(h.amount)
+    return None
+
+
+def _commutes_with_unit(h: HomeoExpr) -> bool:
+    """Whether h commutes with the unit translation by construction.
+    (Compose members are never Compose nodes: they flatten on construction.)"""
+    if isinstance(h, PiecewiseMonotone):
+        return h.extension == "periodic"
+    return isinstance(h, (Translate, CellHat, Identity))
+
+
+def _conjugate_split(lift: HomeoExpr):
+    """Write a closed-form `Compose` lift as T_s o psi o G o psi^-1, and
+    return (s, psi, G, psi^-1).
+
+    s is the sum of the integer `Translate` members at either end of the
+    chain (`normalize_lift` puts its shift in front, `CircleHomeo.inverse`
+    can leave one at the back), and psi the longest prefix of the remaining
+    members m_1..m_k with inverse(m_i) == m_(k+1-i), every member of psi
+    commuting with the unit translation and at least one member left for G.
+    Then psi commutes with every integer translation, and so does G because
+    the lift does, so F^N = T_(sN) o psi o G^N o psi^-1 exactly.  Any other
+    lift, an approximate one included, gets the identity split
+    (0, None, lift, None).
+    """
+    identity = (0, None, lift, None)
+    if not isinstance(lift, Compose) or lift.approximate:
+        return identity
+    rest = list(lift.members)
+    s = 0
+    for end in (0, -1):
+        while rest and (shift := _integer_shift(rest[end])) is not None:
+            s += shift
+            rest.pop(end)
+    k = len(rest)
+    p = 0
+    while (2 * p + 2 < k and _commutes_with_unit(rest[p])
+           and inverse(rest[p]) == rest[k - 1 - p]):
+        p += 1
+    if p == 0:
+        return identity
+    return (s, compose_all(rest[:p]), compose_all(rest[p:k - p]),
+            compose_all(rest[k - p:]))
+
+
 def _reduced_orbit(f: CircleHomeo, N: int, x0: float, collect: bool):
     """The orbit pass of `rotation_number`: iterate the normalized lift N
     times on reduced angles, tracking the deck count exactly.  Returns the
     estimate, and the N orbit angles when collect is set.
 
     The base point is validated here, once; every later angle is a finite
-    float in [0, 1), so the loop calls the lift's `_eval` directly.
+    float in [0, 1), so the loop calls `_eval` directly.
+
+    Without collect the lift F is iterated through `_conjugate_split`,
+    F = T_s o psi o G o psi^-1: psi^-1 once on the reduced base point, G on
+    every step, s added to the deck count for each of the N steps, and psi
+    once on the last angle, since psi commutes with the unit translation.
+    Collected angles are F's own orbit, so collect keeps the identity split,
+    which is the loop on F itself.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -66,10 +131,15 @@ def _reduced_orbit(f: CircleHomeo, N: int, x0: float, collect: bool):
     # conversion that could overflow
     if not -math.inf < x0 < math.inf:
         raise DomainError(f"non-finite base point {x0!r}")
-    step = f.lift._eval
+    s, psi, g, psi_inv = ((0, None, f.lift, None) if collect
+                          else _conjugate_split(f.lift))
+    step = g._eval
     start = frac(x0)
     y = float(start)
-    deck = 0
+    if psi_inv is not None:
+        # G is a lift, so its orbit may start outside [0, 1)
+        y = psi_inv._eval(y, step_eps)
+    deck = s * N
     angles = [start] if collect else None
     for k in range(N):
         z = step(y, step_eps)
@@ -81,7 +151,8 @@ def _reduced_orbit(f: CircleHomeo, N: int, x0: float, collect: bool):
         deck += m
         if collect and k < N - 1:
             angles.append(y)
-    total = deck + (y - start)
+    end = y if psi is None else psi._eval(y, step_eps)
+    total = deck + (end - start)
     est = RotationEstimate(value=frac(total / N), error_bound=1.0 / N,
                            iterations=N, base_point=x0)
     return est, angles
@@ -94,6 +165,15 @@ def rotation_number(f: CircleHomeo, N: int, x0: float = 0.0) -> RotationEstimate
     error stays below a tenth of the 1/N bound; raises PrecisionError when
     that per-step accuracy is below what float evaluation can deliver, and
     DomainError for a non-finite base point.
+
+    A closed-form conjugate lift T_s o psi o G o psi^-1 (see
+    `_conjugate_split`) is iterated through G alone, since
+    (psi o G o psi^-1)^N = psi o G^N o psi^-1: psi^-1 and psi are evaluated
+    once each, at the same per-step accuracy, and the bound stays 1/N.  Any
+    other lift, approximate chains included (their `Compose` enclosure is
+    what certifies each step of F), is iterated whole.
+    `approximate_poincare_conjugacy` always iterates f whole, because it
+    matches f's own orbit.
     """
     return _reduced_orbit(f, N, x0, collect=False)[0]
 
