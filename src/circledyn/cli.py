@@ -19,7 +19,7 @@ import sys
 import tempfile
 
 from .circle import CircleHomeo, project, sine_lift
-from .errors import CircledynError, RationalRotationError
+from .errors import CircledynError
 from .euler import euler_cocycle_table
 from .expr import (Affine, HomeoExpr, Identity, Translate,
                    expr_from_jsonable, expr_to_jsonable)
@@ -231,7 +231,11 @@ def _cmd_build_group(args) -> int:
         if args.g is None:
             raise ValueError("--circle needs --g")
         g_word = tuple(int(v) for v in args.g.split(","))
-        action = build_circle_action(alpha, args.n, args.k, g_word)
+        action = build_circle_action(alpha, args.n,
+                                     1 if args.k is None else args.k, g_word)
+    elif args.circle is None and (args.k is not None or args.g is not None):
+        # a config "circle": false builds the line action on purpose
+        raise ValueError(f"--{'k' if args.k is not None else 'g'} needs --circle")
     else:
         action = build_line_action(alpha, args.n)
     _deliver(emit_json(action_to_bundle(action)), args.output)
@@ -369,9 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help='quadratic irrational, e.g. "sqrt(2)-1" or '
                         '"(0+1*sqrt(2))/1 - 1" or "golden - 1"')
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--circle", action="store_true")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--g", help="comma-separated word for g, length n")
+    p.add_argument("--circle", action="store_true", default=None)
+    p.add_argument("--k", type=int, help="marked points, with --circle (default 1)")
+    p.add_argument("--g", help="comma-separated word for g, length n, with --circle")
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_build_group)
 
@@ -432,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(parser: argparse.ArgumentParser, argv, args):
     """Parse again with the --config file's values appended as flags, so they
-    are converted and checked as flag text is.  Explicit flags win; null
-    values, and keys that name no option of the chosen command, are ignored."""
+    are converted and checked as flag text is.  Explicit flags win, a false
+    switch is set off, and null values and keys naming no option are ignored."""
     if not args.config:
         return args
     with open(args.config) as handle:
@@ -444,7 +448,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv, args):
                     if isinstance(a, argparse._SubParsersAction))
     options = {a.dest: a for a in commands.choices[args.command]._actions
                if a.option_strings and hasattr(args, a.dest)}
-    extra = []
+    extra, switched_off = [], {}
     for key, value in overrides.items():
         action = options.get(key.replace("-", "_"))
         if action is None or action.dest in explicit or value is None:
@@ -453,7 +457,11 @@ def _apply_config(parser: argparse.ArgumentParser, argv, args):
             extra.append(f"{action.option_strings[0]}={value}")
         elif value:
             extra.append(action.option_strings[0])
-    return parser.parse_args(argv + extra)
+        else:
+            switched_off[action.dest] = False
+    args = parser.parse_args(argv + extra)
+    vars(args).update(switched_off)
+    return args
 
 
 def main(argv=None) -> int:
@@ -463,9 +471,6 @@ def main(argv=None) -> int:
     args = _apply_config(parser, argv, args)
     try:
         return args.handler(args)
-    except RationalRotationError as exc:
-        print(f"circledyn: {exc}", file=sys.stderr)
-        return 3
     except (CircledynError, ValueError, OSError, KeyError) as exc:
         print(f"circledyn: {exc}", file=sys.stderr)
         return 2

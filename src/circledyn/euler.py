@@ -18,7 +18,7 @@ from typing import Callable
 
 from .circle import CircleHomeo, project, rotation
 from .errors import EulerRangeWarning, MissingFaceError, NonIntegerCocycleError
-from .expr import HomeoExpr
+from .expr import HomeoExpr, _listed
 
 RESIDUAL_TOL = 1e-6
 CONSTANCY_PROBE = 0.37
@@ -196,18 +196,13 @@ class CocycleTable:
     values: dict
 
     def as_jsonable(self) -> dict:
-        return {"elements": [list(label) if isinstance(label, tuple) else label
-                             for label, _ in self.elements],
-                "values": [[_label_out(a), _label_out(b), c]
+        return {"elements": [_listed(label) for label, _ in self.elements],
+                "values": [[_listed(a), _listed(b), c]
                            for (a, b), c in sorted(self.values.items())]}
 
     def as_cochain(self) -> CochainTable:
         return CochainTable(degree=2, flavor="inhomogeneous",
                             entries=dict(self.values))
-
-
-def _label_out(label):
-    return list(label) if isinstance(label, tuple) else label
 
 
 def euler_cocycle_table(elements) -> CocycleTable:

@@ -13,7 +13,9 @@ cyclic words.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -204,7 +206,10 @@ def golden_ratio() -> QuadIrrational:
 
 @dataclass(frozen=True)
 class Gl2zMatrix:
-    """Integer Moebius map x -> (m1 + n1*x) / (m2 + n2*x), |det| = 1."""
+    """Integer Moebius map x -> (m1 + n1*x) / (m2 + n2*x), |det| = 1.
+
+    A @ B is the map A after B.  Its matrix [[n1, m1], [n2, m2]], acting on
+    (x, 1), has determinant -det."""
 
     m1: int
     n1: int
@@ -221,6 +226,21 @@ class Gl2zMatrix:
 
     def as_tuple(self):
         return (self.m1, self.n1, self.m2, self.n2)
+
+    def __matmul__(self, other: "Gl2zMatrix") -> "Gl2zMatrix":
+        return Gl2zMatrix(m1=self.n1 * other.m1 + self.m1 * other.m2,
+                          n1=self.n1 * other.n1 + self.m1 * other.n2,
+                          m2=self.n2 * other.m1 + self.m2 * other.m2,
+                          n2=self.n2 * other.n1 + self.m2 * other.n2)
+
+    def inverse(self) -> "Gl2zMatrix":
+        # the matrix's determinant -det is +-1: its inverse is -det * adjugate
+        s = -self.det
+        return Gl2zMatrix(m1=-s * self.m1, n1=s * self.m2,
+                          m2=s * self.n1, n2=-s * self.n2)
+
+
+_IDENTITY = Gl2zMatrix(0, 1, 1, 0)
 
 
 def mobius_apply(M: Gl2zMatrix, x: QuadIrrational) -> QuadIrrational:
@@ -256,15 +276,9 @@ class CfExpansion:
         return [self.term(i) for i in range(count)]
 
     def convergents(self, count: int):
-        """Yield the first count convergents as Fractions."""
-        p0, p1 = 1, self.term(0)
-        q0, q1 = 0, 1
-        yield Fraction(p1, q1)
-        for i in range(1, count):
-            a = self.term(i)
-            p0, p1 = p1, a * p1 + p0
-            q0, q1 = q1, a * q1 + q0
-            yield Fraction(p1, q1)
+        """Yield the first count convergents, n1/n2 of the prefix maps."""
+        for M in itertools.islice(_prefix_maps(self, count), 1, None):
+            yield Fraction(M.n1, M.n2)
 
     def __eq__(self, other):
         if not isinstance(other, CfExpansion):
@@ -280,7 +294,7 @@ class CfExpansion:
 
 def _minimal_cycle(period: tuple) -> tuple:
     n = len(period)
-    for length in range(1, n + 1):
+    for length in range(1, n):
         if n % length == 0 and period[:length] * (n // length) == period:
             return period[:length]
     return period
@@ -319,27 +333,13 @@ def cf_expand(x: QuadIrrational) -> CfExpansion:
 value = QuadIrrational.value
 
 
-def _mat_mul(A, B):
-    return ((A[0][0] * B[0][0] + A[0][1] * B[1][0],
-             A[0][0] * B[0][1] + A[0][1] * B[1][1]),
-            (A[1][0] * B[0][0] + A[1][1] * B[1][0],
-             A[1][0] * B[0][1] + A[1][1] * B[1][1]))
-
-
-def _prefix_matrix(exp: CfExpansion, length: int):
-    """Product of the convergent shift matrices [[a,1],[1,0]] along the
-    first `length` terms; x = M(t) where t is the complete quotient."""
-    M = ((1, 0), (0, 1))
-    for a in exp.terms(length):
-        M = _mat_mul(M, ((a, 1), (1, 0)))
-    return M
-
-
-def _mat_inverse_unimodular(M):
-    det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    # det is +-1, so the inverse is det * adjugate
-    return ((det * M[1][1], -det * M[0][1]),
-            (-det * M[1][0], det * M[0][0]))
+def _prefix_maps(exp: CfExpansion, length: int):
+    """The maps t -> [a0; ..., a_{i-1} + 1/t] for i = 0, ..., length, as
+    products of the maps t -> a + 1/t from the identity on; x is the i-th
+    map of its i-th complete quotient."""
+    return itertools.accumulate(
+        (Gl2zMatrix(1, a, 0, 1) for a in exp.terms(length)),
+        operator.matmul, initial=_IDENTITY)
 
 
 def gl2z_equivalent(x: QuadIrrational,
@@ -361,11 +361,9 @@ def gl2z_equivalent(x: QuadIrrational,
     for shift in range(n):
         if ex.period[shift:] + ex.period[:shift] != target:
             continue
-        Mx = _prefix_matrix(ex, len(ex.preperiod) + shift)
-        My = _prefix_matrix(ey, len(ey.preperiod))
-        W = _mat_mul(My, _mat_inverse_unimodular(Mx))
-        # W acts as t -> (W00 t + W01) / (W10 t + W11)
-        witness = Gl2zMatrix(m1=W[0][1], n1=W[0][0], m2=W[1][1], n2=W[1][0])
+        *_, Mx = _prefix_maps(ex, len(ex.preperiod) + shift)
+        *_, My = _prefix_maps(ey, len(ey.preperiod))
+        witness = My @ Mx.inverse()
         # the period is primitive, so no other rotation of it matches
         if mobius_apply(witness, x) != y:
             raise RuntimeError("tail match found but witness verification failed")
