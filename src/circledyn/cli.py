@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 from .circle import CircleHomeo, project, sine_lift
 from .errors import CircledynError
@@ -65,8 +64,13 @@ def emit_json(obj, indent: int = 0) -> str:
 
 
 def _atomic_write(path: str, text: str):
+    """Write text to a fresh file beside path, then rename it over path.
+    The file is created with mode 0o666 less the umask, as a shell
+    redirect would create it."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".circledyn-")
+    tmp = os.path.join(directory,
+                       f".circledyn-{os.getpid()}-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

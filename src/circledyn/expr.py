@@ -375,9 +375,9 @@ class PiecewiseMonotone(HomeoExpr):
                    is closed by the wrap segment to (xs[0]+1, ys[0]+1).
     """
 
-    __slots__ = ("xs", "ys", "interpolation", "extension",
-                 "_segments", "_lo_slope", "_hi_slope",
-                 "_periodic", "_x_first", "_x_wrap", "_x_last", "_last")
+    __slots__ = ("xs", "ys", "interpolation", "extension", "_knots",
+                 "_segment_count", "_segments", "_lo_slope", "_hi_slope",
+                 "_periodic", "_x_first", "_x_wrap", "_x_last")
     kind = "piecewise_monotone"
     fields = ("xs", "ys", "interpolation", "extension")
 
@@ -396,42 +396,37 @@ class PiecewiseMonotone(HomeoExpr):
             raise ValueError(f"unknown interpolation {interpolation!r}")
         if extension not in ("linear", "periodic"):
             raise ValueError(f"unknown extension {extension!r}")
-        if extension == "periodic":
+        self._periodic = extension == "periodic"
+        if self._periodic:
             if not (xs[-1] - xs[0] < 1.0 and ys[-1] - ys[0] < 1.0):
                 raise ValueError("periodic table must span less than one period")
         self.xs = xs
         self.ys = ys
         self.interpolation = interpolation
         self.extension = extension
-        # Linear tables compute each segment from xs and ys: the long linear
+        # Segment i runs from knot i to knot i+1 of _knots, which closes a
+        # periodic table with the knot (xs[0]+1, ys[0]+1): its wrap segment
+        # is the last segment.
+        self._x_first, self._x_wrap, self._x_last = xs[0], xs[0] + 1.0, xs[-1]
+        self._knots = ((xs + (self._x_wrap,), ys + (ys[0] + 1.0,))
+                       if self._periodic else (xs, ys))
+        self._segment_count = len(self._knots[0]) - 1
+        # Linear tables compute each segment from _knots: the long linear
         # tables built by approximate_poincare_conjugacy would pay memory
         # for a segment table and gain little from it.
         self._segments = self._cubic_segments() if interpolation == "cubic" else None
         self._lo_slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
         self._hi_slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-        # the constants `_eval` reads on every call; _last indexes the last
-        # knot, whose segment is the wrap segment of a periodic table
-        self._periodic = extension == "periodic"
-        self._x_first, self._x_wrap = xs[0], xs[0] + 1.0
-        self._x_last, self._last = xs[-1], len(xs) - 1
 
     def _compute_tangents(self):
-        xs, ys = self.xs, self.ys
-        n = len(xs)
-        gaps = [xs[i + 1] - xs[i] for i in range(n - 1)]
-        secs = [(ys[i + 1] - ys[i]) / gaps[i] for i in range(n - 1)]
-        if self.extension == "periodic":
-            # Close the cycle through the wrap segment; every knot is interior.
-            wrap_gap = xs[0] + 1.0 - xs[-1]
-            wrap_sec = (ys[0] + 1.0 - ys[-1]) / wrap_gap
-            gaps = gaps + [wrap_gap]
-            secs = secs + [wrap_sec]
-            tangents = []
-            for i in range(n):
-                h0 = gaps[i - 1]
-                d0 = secs[i - 1]
-                tangents.append(_pchip_interior(h0, gaps[i], d0, secs[i]))
-            return tuple(tangents)
+        kx, ky = self._knots
+        gaps = [b - a for a, b in zip(kx, kx[1:])]
+        secs = [(b - a) / h for a, b, h in zip(ky, ky[1:], gaps)]
+        n = len(self.xs)
+        if self._periodic:
+            # every knot is interior: the wrap segment comes before knot 0
+            return tuple(_pchip_interior(gaps[i - 1], gaps[i], secs[i - 1], secs[i])
+                         for i in range(n))
         tangents = [0.0] * n
         tangents[0] = _pchip_endpoint(gaps[0], gaps[1] if n > 2 else gaps[0],
                                       secs[0], secs[1] if n > 2 else secs[0])
@@ -442,24 +437,19 @@ class PiecewiseMonotone(HomeoExpr):
         return tuple(tangents)
 
     def _cubic_segments(self):
-        """(x0, h, y0, y1, h*d0, h*d1) for each segment, from knot i to
-        knot i+1; a periodic table ends with the wrap segment to
-        (xs[0]+1, ys[0]+1)."""
-        xs, ys = self.xs, self.ys
+        """(x0, h, y0, y1, h*d0, h*d1) for each segment of _knots."""
+        kx, ky = self._knots
         d = self._compute_tangents()
-        n = len(xs)
+        if self._periodic:
+            d += d[:1]      # the closing knot is knot 0 shifted by one period
         segments = []
-        for i in range(n if self.extension == "periodic" else n - 1):
-            if i == n - 1:
-                x1, y1, d1 = xs[0] + 1.0, ys[0] + 1.0, d[0]
-            else:
-                x1, y1, d1 = xs[i + 1], ys[i + 1], d[i + 1]
-            h = x1 - xs[i]
-            segments.append((xs[i], h, ys[i], y1, h * d[i], h * d1))
+        for i in range(self._segment_count):
+            h = kx[i + 1] - kx[i]
+            segments.append((kx[i], h, ky[i], ky[i + 1], h * d[i], h * d[i + 1]))
         return tuple(segments)
 
     def _eval(self, x, eps):
-        xs, ys = self.xs, self.ys
+        xs, ys = self._knots
         x_first = self._x_first
         periodic = self._periodic
         if periodic:
@@ -471,14 +461,12 @@ class PiecewiseMonotone(HomeoExpr):
             elif t >= self._x_wrap:
                 m += 1
                 t = x - m
-            if t >= self._x_last:
-                i = self._last      # the wrap segment
-            else:
-                i = bisect_right(xs, t) - 1
-                if i < 0:
-                    i = 0
-                if t == xs[i]:
-                    return ys[i] + m
+            # the segment of t among the segment starts: the first one when
+            # rounding leaves t below xs[0], the wrap segment from xs[-1] on,
+            # even at or past the closing knot (t = 0.0 at |x| >= 2**53)
+            i = bisect_right(xs, t, 1, self._segment_count) - 1
+            if t == xs[i]:
+                return ys[i] + m
         else:
             if x <= x_first:
                 return ys[0] + (x - x_first) * self._lo_slope
@@ -491,11 +479,7 @@ class PiecewiseMonotone(HomeoExpr):
         segments = self._segments
         if segments is None:
             x0, y0 = xs[i], ys[i]
-            if i == self._last:
-                x1, y1 = self._x_wrap, ys[0] + 1.0
-            else:
-                x1, y1 = xs[i + 1], ys[i + 1]
-            v = y0 + (t - x0) * (y1 - y0) / (x1 - x0)
+            v = y0 + (t - x0) * (ys[i + 1] - y0) / (xs[i + 1] - x0)
         else:
             # Cubic Hermite form on the segment, s in [0, 1).
             x0, h, y0, y1, hd0, hd1 = segments[i]

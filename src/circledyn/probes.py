@@ -439,6 +439,8 @@ def fixed_points(f: CircleHomeo, tol: float = 1e-9) -> list[float]:
                 flo = v0
                 while hi - lo > tol:
                     mid = 0.5 * (lo + hi)
+                    if not lo < mid < hi:   # no float left between the ends
+                        break
                     fm = evaluate(lift, mid, DEFAULT_EPS) - mid - m
                     if fm == 0.0:
                         lo = hi = mid

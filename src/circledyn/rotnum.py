@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .circle import CircleHomeo, circular_distance, frac, merge_sorted
+from .circle import (CircleHomeo, circular_distance,
+                     exact_translation_offset, frac, merge_sorted)
 from .errors import (DomainError, HasFixedPointError, PrecisionError,
                      RationalRotationError, OrbitTieWarning)
 from .expr import (CellHat, Compose, HomeoExpr, Identity, PiecewiseMonotone,
@@ -55,14 +55,6 @@ class RotationEstimate:
 _STEP_EPS_FLOOR = 5e-16
 
 
-def _integer_shift(h: HomeoExpr) -> int | None:
-    """The amount of h when h is a translation by an integer, else None."""
-    if (isinstance(h, Translate) and isinstance(h.amount, (int, Fraction))
-            and h.amount.denominator == 1):
-        return int(h.amount)
-    return None
-
-
 def _commutes_with_unit(h: HomeoExpr) -> bool:
     """Whether h commutes with the unit translation by construction.
     (Compose members are never Compose nodes: they flatten on construction.)"""
@@ -75,9 +67,10 @@ def _conjugate_split(lift: HomeoExpr):
     """Write a closed-form `Compose` lift as T_s o psi o G o psi^-1, and
     return (s, psi, G, psi^-1).
 
-    s is the sum of the integer `Translate` members at either end of the
-    chain (`normalize_lift` puts its shift in front, `CircleHomeo.inverse`
-    can leave one at the back), and psi the longest prefix of the remaining
+    s is the sum of the members at either end of the chain whose exact
+    translation offset is an integer (`normalize_lift` puts its shift in
+    front, `CircleHomeo.inverse` can leave one at the back, and an
+    `Identity` counts as 0), and psi the longest prefix of the remaining
     members m_1..m_k with inverse(m_i) == m_(k+1-i), every member of psi
     commuting with the unit translation and at least one member left for G.
     Then psi commutes with every integer translation, and so does G because
@@ -91,8 +84,11 @@ def _conjugate_split(lift: HomeoExpr):
     rest = list(lift.members)
     s = 0
     for end in (0, -1):
-        while rest and (shift := _integer_shift(rest[end])) is not None:
-            s += shift
+        while rest:
+            offset = exact_translation_offset(rest[end])
+            if offset is None or offset.denominator != 1:
+                break
+            s += int(offset)
             rest.pop(end)
     k = len(rest)
     p = 0
