@@ -16,16 +16,16 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 
-from .circle import CircleHomeo, project, sine_lift
+from .circle import project, rotation, sine_lift
 from .errors import CircledynError
 from .euler import euler_cocycle_table
 from .expr import (Affine, HomeoExpr, Identity, Translate,
                    expr_from_jsonable, expr_to_jsonable)
 from .groups import (CircleZnAction, ConjugacyWitness, ZnAction,
                      build_circle_action, build_line_action,
-                     check_word_budget, conjugacy_verdict, word_ball,
-                     word_to_homeo)
+                     check_word_budget, conjugacy_verdict, word_ball)
 from .probes import (ProbeVerdict, fixed_points, orbit, transitivity_probe,
                      wandering_probe)
 from .quadirr import QuadIrrational, gl2z_equivalent, parse_quad_irrational
@@ -66,19 +66,21 @@ def emit_json(obj, indent: int = 0) -> str:
 def _atomic_write(path: str, text: str):
     """Write text to a fresh file beside path, then rename it over path.
     The file is created with mode 0o666 less the umask, as a shell
-    redirect would create it."""
+    redirect would create it.  An OSError names path, not the temp file,
+    whose name differs run to run, and the temp file is removed."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory,
                        f".circledyn-{os.getpid()}-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _deliver(text: str, output: str | None):
@@ -132,8 +134,7 @@ def parse_map_spec(spec: str) -> HomeoExpr:
         t, amp = (float(v) for v in rest.split(","))
         return sine_lift(t, amp)
     if head == "file":
-        with open(rest) as handle:
-            return expr_from_jsonable(json.load(handle))
+        return expr_from_jsonable(_load_json(rest))
     raise ValueError(f"unknown map spec kind {head!r}")
 
 
@@ -189,11 +190,20 @@ def action_from_bundle(doc: dict):
         _check_rebuilt(doc, "marked_angles", list(action.marked_angles))
         return action
     if "generators" in doc:
-        gens = tuple(expr_from_jsonable(g) for g in doc["generators"])
+        gens = tuple(expr_from_jsonable(g)
+                     for g in _list_field(doc, "generators"))
         return ZnAction(n=_bundle_int(doc, "n"), generators=gens, alpha=alpha)
     if alpha is None:
         raise ValueError("line bundles need either generators or alpha")
     return build_line_action(alpha, _bundle_int(doc, "n"))
+
+
+def _list_field(doc: dict, name: str) -> list:
+    """The field doc[name], which must be a JSON list."""
+    value = doc[name]
+    if not isinstance(value, list):
+        raise ValueError(f"field {name!r} must be a list, got {value!r}")
+    return value
 
 
 def _check_rebuilt(doc: dict, name: str, rebuilt: list, load=lambda v: v):
@@ -201,10 +211,7 @@ def _check_rebuilt(doc: dict, name: str, rebuilt: list, load=lambda v: v):
     doc[name], if written, differs from the rebuilt action's."""
     if name not in doc:
         return
-    written = doc[name]
-    if not isinstance(written, list):
-        raise ValueError(f"circle bundle field {name!r} must be a list")
-    written = [load(v) for v in written]
+    written = [load(v) for v in _list_field(doc, name)]
     for i in range(max(len(written), len(rebuilt))):
         if written[i:i + 1] != rebuilt[i:i + 1]:
             raise ValueError(f"circle bundle field {name}[{i}] does not match "
@@ -212,8 +219,14 @@ def _check_rebuilt(doc: dict, name: str, rebuilt: list, load=lambda v: v):
 
 
 def _load_json(path: str) -> dict:
+    """The JSON object in the file at path: the one reader of config,
+    bundle, witness and file: documents."""
     with open(path) as handle:
-        return json.load(handle)
+        doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, "
+                         f"got {type(doc).__name__}")
+    return doc
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -326,9 +339,11 @@ def _cmd_euler_cocycle(args) -> int:
         raise ValueError("the Euler cocycle needs a circle action bundle")
     rank = len(action.generators)
     check_word_budget(rank, args.ball)
-    elements = []
-    for word in word_ball(rank, args.ball):
-        elements.append((word, CircleHomeo(word_to_homeo(action, word))))
+    # The transplanted generators fix each marked point i/k and f moves it to
+    # (i+1)/k, so a word's normalized lift agrees on the marked points with
+    # the rotation by w_f/k, and c(v, w) = floor(F_v(F_w(0))) is read there.
+    elements = [(word, rotation(Fraction(word[-1], action.k)))
+                for word in word_ball(rank, args.ball)]
     table = euler_cocycle_table(elements)
     _deliver(emit_json(table.as_jsonable()), args.output)
     return 0
@@ -342,7 +357,7 @@ def _cmd_conjugacy_verdict(args) -> int:
         doc = _load_json(args.witness)
         witness = ConjugacyWitness(
             phi=expr_from_jsonable(doc["phi"]),
-            h_word=tuple(int(v) for v in doc["h_word"]),
+            h_word=tuple(int(v) for v in _list_field(doc, "h_word")),
             psi=(expr_from_jsonable(doc["psi"])
                  if doc.get("psi") is not None else Identity()))
     report = conjugacy_verdict(a, b, witness, tol=args.tol)
@@ -444,8 +459,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv, args):
     switch is set off, and null values and keys naming no option are ignored."""
     if not args.config:
         return args
-    with open(args.config) as handle:
-        overrides = json.load(handle)
+    overrides = _load_json(args.config)
     explicit = {a.lstrip("-").split("=")[0].replace("-", "_")
                 for a in argv if a.startswith("--")}
     commands = next(a for a in parser._actions
@@ -472,8 +486,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    args = _apply_config(parser, argv, args)
     try:
+        args = _apply_config(parser, argv, args)
         return args.handler(args)
     except (CircledynError, ValueError, OSError, KeyError) as exc:
         print(f"circledyn: {exc}", file=sys.stderr)

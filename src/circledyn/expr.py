@@ -688,12 +688,18 @@ def expr_to_jsonable(h: HomeoExpr) -> dict:
 
 
 def expr_from_jsonable(doc: dict) -> HomeoExpr:
+    if not isinstance(doc, dict):
+        raise ValueError(f"an expression node must be an object, got {doc!r}")
     kind = doc.get("kind")
     cls = _NODE_REGISTRY.get(kind)
     load = cls._from_payload if cls is not None else _LOAD_ONLY_KINDS.get(kind)
     if load is None:
         raise ValueError(f"unknown expression node kind {kind!r}")
-    children = tuple(expr_from_jsonable(c) for c in doc.get("children", ()))
+    children = doc.get("children", [])
+    if not isinstance(children, list):
+        raise ValueError(f"the children of a {kind!r} node must be a list, "
+                         f"got {children!r}")
+    children = tuple(expr_from_jsonable(c) for c in children)
     payload = {k: v for k, v in doc.items() if k not in ("kind", "children")}
     try:
         return load(payload, children)

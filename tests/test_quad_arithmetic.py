@@ -17,7 +17,7 @@ from circledyn.quadirr import MAX_RADICAND
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
@@ -174,6 +174,18 @@ def test_mobius_inverse_undoes_mobius(d, p, q, r, word):
     x = QuadIrrational(p, q, d, r)
     assert mobius_apply(inv, mobius_apply(M, x)) == x
     assert mobius_apply(M, x) == _ref_mobius(M, x)
+
+
+@PROPERTY
+@given(st.sampled_from(RADICANDS), st.integers(-10**4, 10**4),
+       st.integers(-10**4, 10**4).filter(bool), st.integers(1, 10**4),
+       st.one_of(st.integers(-50, 50), st.builds(Fraction, st.integers(-50, 50),
+                                                 st.integers(1, 50))))
+@example(2, 1, 1, 1, 0)
+@example(2, 1, 1, 1, Fraction(0))
+def test_rational_scalars_distribute(d, p, q, r, c):
+    x = QuadIrrational(p, q, d, r)
+    assert c * x + c == c * (x + 1)
 
 
 # -- constructor checks ------------------------------------------------------

@@ -9,19 +9,9 @@ import re
 import shlex
 from pathlib import Path
 
-import pytest
-
 from circledyn.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-
-#: README commands left out, with the reason
-SKIPPED = {
-    ("euler-cocycle", "c32.json"):
-        "the radius-1 table of the c32 bundle (6,561 pairs) takes about 15 s, "
-        "because every cocycle value re-validates two composite lifts",
-}
-
 
 def _block(heading: str, lang: str) -> str:
     text = README.read_text()
@@ -69,20 +59,12 @@ def test_cli_block_runs(tmp_path, monkeypatch):
     Path("witness.json").write_text(witness.group(1))
     commands = _commands()
     assert len(commands) == 12
-    skipped = []
     for argv in commands:
         assert argv[0] == "circledyn"
-        key = (argv[1], Path(argv[argv.index("--action") + 1]).name
-               if "--action" in argv else None)
-        if key in SKIPPED:
-            skipped.append(key)
-            continue
         _run_documented(argv)
-    assert skipped == list(SKIPPED)
     assert json.loads(Path("report.json").read_text())["iterations"] == 10000
 
 
-@pytest.mark.skip(reason=SKIPPED[("euler-cocycle", "c32.json")])
 def test_cli_c32_euler_cocycle(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in _commands():
