@@ -198,11 +198,15 @@ def action_from_bundle(doc: dict):
     return build_line_action(alpha, _bundle_int(doc, "n"))
 
 
-def _list_field(doc: dict, name: str) -> list:
-    """The field doc[name], which must be a JSON list."""
+def _list_field(doc: dict, name: str, *, ints: bool = False) -> list:
+    """The field doc[name], which must be a JSON list, and with ints a list
+    of JSON integers."""
     value = doc[name]
     if not isinstance(value, list):
         raise ValueError(f"field {name!r} must be a list, got {value!r}")
+    if ints and not all(type(v) is int for v in value):
+        raise ValueError(f"field {name!r} must be a list of integers, "
+                         f"got {value!r}")
     return value
 
 
@@ -357,7 +361,7 @@ def _cmd_conjugacy_verdict(args) -> int:
         doc = _load_json(args.witness)
         witness = ConjugacyWitness(
             phi=expr_from_jsonable(doc["phi"]),
-            h_word=tuple(int(v) for v in _list_field(doc, "h_word")),
+            h_word=tuple(_list_field(doc, "h_word", ints=True)),
             psi=(expr_from_jsonable(doc["psi"])
                  if doc.get("psi") is not None else Identity()))
     report = conjugacy_verdict(a, b, witness, tol=args.tol)

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
+from ._record import Record
 from .circle import CircleHomeo, project, rotation
 from .errors import EulerRangeWarning, MissingFaceError, NonIntegerCocycleError
 from .expr import HomeoExpr, _listed
@@ -67,13 +66,11 @@ def cocycle_identity_check(f1: CircleHomeo, f2: CircleHomeo,
             - cocycle_value(f2, f3) - cocycle_value(f1, f23))
 
 
-@dataclass(frozen=True)
-class GroupLaw:
-    """Composition law on element identifiers, for flavor conversions."""
+class GroupLaw(Record):
+    """Composition law on element identifiers, for flavor conversions:
+    the identity element and the callables compose(a, b) and inverse(a)."""
 
-    identity: object
-    compose: Callable
-    inverse: Callable
+    __slots__ = ("identity", "compose", "inverse")
 
 
 def cyclic_group_law(k: int) -> GroupLaw:
@@ -88,8 +85,7 @@ def word_group_law(n: int) -> GroupLaw:
                     inverse=lambda a: tuple(-x for x in a))
 
 
-@dataclass(frozen=True)
-class CochainTable:
+class CochainTable(Record):
     """Finite tabulation of a k-cochain.
 
     Homogeneous entries are keyed by (k+1)-tuples of identifiers and satisfy
@@ -97,11 +93,9 @@ class CochainTable:
     are keyed by k-tuples.
     """
 
-    degree: int
-    flavor: str
-    entries: dict
+    __slots__ = ("degree", "flavor", "entries")
 
-    def __post_init__(self):
+    def _check(self):
         if self.flavor not in ("homogeneous", "inhomogeneous"):
             raise ValueError(f"unknown flavor {self.flavor!r}")
         arity = self.degree + 1 if self.flavor == "homogeneous" else self.degree
@@ -188,12 +182,10 @@ def to_homogeneous(table: CochainTable, law: GroupLaw) -> CochainTable:
     return CochainTable(degree=k, flavor="homogeneous", entries=out)
 
 
-@dataclass(frozen=True)
-class CocycleTable:
+class CocycleTable(Record):
     """The Euler cocycle tabulated over a finite family of circle maps."""
 
-    elements: tuple
-    values: dict
+    __slots__ = ("elements", "values")
 
     def as_jsonable(self) -> dict:
         return {"elements": [_listed(label) for label, _ in self.elements],

@@ -25,9 +25,9 @@ import enum
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import Record
 from .circle import CircleHomeo, project
 from .errors import BudgetExceededError, NotPrimitiveError, RangeError
 from .expr import (DEFAULT_EPS, CellHat, Compose, HomeoExpr, Identity,
@@ -36,38 +36,29 @@ from .expr import (DEFAULT_EPS, CellHat, Compose, HomeoExpr, Identity,
 from .quadirr import QuadIrrational, gl2z_equivalent
 
 
-@dataclass(frozen=True)
-class ZnAction:
+class ZnAction(Record):
     """Commuting generators realizing Z^n on the line.
 
     Generator ordering for built actions: the newest unit translation
     first, then the transplanted copies of the previous level in order.
     """
 
-    n: int
-    generators: tuple[HomeoExpr, ...]
-    alpha: QuadIrrational | None = None
-    space: str = "line"
+    __slots__ = ("n", "generators", "alpha", "space")
+    _defaults = {"alpha": None, "space": "line"}
 
-    def __post_init__(self):
+    def _check(self):
         if self.n < 1 or len(self.generators) != self.n:
             raise ValueError("generator count must equal n >= 1")
 
 
-@dataclass(frozen=True)
-class CircleZnAction:
+class CircleZnAction(Record):
     """The circle construction: transplanted generators plus the arc
     permuting map f.  generators = (sigma_bar for each base generator..., f);
     words are integer vectors of length n + 1 over that list."""
 
-    n: int
-    k: int
-    base: ZnAction
-    g_word: tuple[int, ...]
-    f: CircleHomeo
-    generators: tuple[CircleHomeo, ...]
-    marked_angles: tuple[float, ...]
-    space: str = "circle"
+    __slots__ = ("n", "k", "base", "g_word", "f", "generators",
+                 "marked_angles", "space")
+    _defaults = {"space": "circle"}
 
     @property
     def alpha(self) -> QuadIrrational | None:
@@ -191,8 +182,7 @@ class Verdict(enum.Enum):
     UNDECIDED_NEEDS_WITNESS = "UNDECIDED_NEEDS_WITNESS"
 
 
-@dataclass(frozen=True)
-class ConjugacyWitness:
+class ConjugacyWitness(Record):
     """User-supplied data for the affine-orbit condition.
 
     phi must normalize the line action, h_word indexes an element of it,
@@ -201,16 +191,16 @@ class ConjugacyWitness:
     resulting equation is checked numerically.
     """
 
-    phi: HomeoExpr
-    h_word: tuple[int, ...]
-    psi: HomeoExpr = field(default_factory=Identity)
+    __slots__ = ("phi", "h_word", "psi")
+    _defaults = {"psi": Identity}
 
 
-@dataclass(frozen=True)
-class ConjugacyReport:
-    verdict: Verdict
-    reason: str
-    residual: float | None = None
+class ConjugacyReport(Record):
+    """A verdict, its reason and, for a checked witness, the largest
+    residual of the affine-orbit equation."""
+
+    __slots__ = ("verdict", "reason", "residual")
+    _defaults = {"residual": None}
 
     def as_jsonable(self) -> dict:
         doc = {"verdict": self.verdict.value, "reason": self.reason}

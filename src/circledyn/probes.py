@@ -13,8 +13,8 @@ import enum
 import math
 import warnings
 from array import array
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .circle import CircleHomeo, frac, merge_circular, merge_sorted
 from .errors import NonIsolatedFixedPointsWarning
 from .expr import (BOUNDARY_DELTA, DEFAULT_EPS, UNIT_EDGES, CellHat,
@@ -249,24 +249,21 @@ class ProbeVerdict(enum.Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class OrbitSample:
+class OrbitSample(Record):
     """Deduplicated orbit points of a base point under a word ball."""
 
-    points: tuple[float, ...]
-    radius: int
-    base_point: float
+    __slots__ = ("points", "radius", "base_point")
 
     def __len__(self):
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    verdict: ProbeVerdict
-    coverage: float
-    parameters: dict = field(default_factory=dict)
-    certificate: dict | None = None
+class ProbeReport(Record):
+    """A probe's verdict and coverage (each probe defines its own), the
+    parameters it ran with and, when it has one, its certificate."""
+
+    __slots__ = ("verdict", "coverage", "parameters", "certificate")
+    _defaults = {"parameters": dict, "certificate": None}
 
     def as_jsonable(self) -> dict:
         doc = {"verdict": self.verdict.value, "coverage": self.coverage,

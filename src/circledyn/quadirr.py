@@ -15,10 +15,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._record import Record
 
 
 #: Largest radicand: splitting off its square factors is trial division up
@@ -204,19 +204,16 @@ def golden_ratio() -> QuadIrrational:
     return QuadIrrational(1, 1, 5, 2)
 
 
-@dataclass(frozen=True)
-class Gl2zMatrix:
+class Gl2zMatrix(Record):
     """Integer Moebius map x -> (m1 + n1*x) / (m2 + n2*x), |det| = 1.
 
     A @ B is the map A after B.  Its matrix [[n1, m1], [n2, m2]], acting on
-    (x, 1), has determinant -det."""
+    (x, 1), has determinant -det.  Products and inverses of unimodular maps
+    are unimodular, so they skip the determinant check."""
 
-    m1: int
-    n1: int
-    m2: int
-    n2: int
+    __slots__ = ("m1", "n1", "m2", "n2")
 
-    def __post_init__(self):
+    def _check(self):
         if abs(self.det) != 1:
             raise ValueError(f"|m1*n2 - n1*m2| must be 1, got {self.det}")
 
@@ -228,24 +225,34 @@ class Gl2zMatrix:
         return (self.m1, self.n1, self.m2, self.n2)
 
     def __matmul__(self, other: "Gl2zMatrix") -> "Gl2zMatrix":
-        return Gl2zMatrix(m1=self.n1 * other.m1 + self.m1 * other.m2,
-                          n1=self.n1 * other.n1 + self.m1 * other.n2,
-                          m2=self.n2 * other.m1 + self.m2 * other.m2,
-                          n2=self.n2 * other.n1 + self.m2 * other.n2)
+        return Gl2zMatrix._trusted(self.n1 * other.m1 + self.m1 * other.m2,
+                                   self.n1 * other.n1 + self.m1 * other.n2,
+                                   self.n2 * other.m1 + self.m2 * other.m2,
+                                   self.n2 * other.n1 + self.m2 * other.n2)
 
     def inverse(self) -> "Gl2zMatrix":
         # the matrix's determinant -det is +-1: its inverse is -det * adjugate
         s = -self.det
-        return Gl2zMatrix(m1=-s * self.m1, n1=s * self.m2,
-                          m2=s * self.n1, n2=-s * self.n2)
-
-
-_IDENTITY = Gl2zMatrix(0, 1, 1, 0)
+        return Gl2zMatrix._trusted(-s * self.m1, s * self.m2,
+                                   s * self.n1, -s * self.n2)
 
 
 def mobius_apply(M: Gl2zMatrix, x: QuadIrrational) -> QuadIrrational:
-    """(m1 + n1*x) / (m2 + n2*x), exactly, in canonical form."""
-    return (M.m1 + M.n1 * x) / (M.m2 + M.n2 * x)
+    """(m1 + n1*x) / (m2 + n2*x), exactly, in canonical form.
+
+    With x = (p + q*sqrt(d)) / r this is (a + b*sqrt(d)) / (c + e*sqrt(d))
+    for a = m1*r + n1*p, b = n1*q, c = m2*r + n2*p, e = n2*q, which is
+    (a*c - b*e*d + (b*c - a*e)*sqrt(d)) / (c*c - e*e*d).  The sqrt(d)
+    coefficient b*c - a*e = -q*r*det is nonzero, and so is the norm
+    c*c - e*e*d: m2 + n2*x = 0 would need m2 = n2 = 0.  A rational x goes
+    through the operators."""
+    if not isinstance(x, QuadIrrational):
+        return (M.m1 + M.n1 * x) / (M.m2 + M.n2 * x)
+    p, q, d, r = x.p, x.q, x.d, x.r
+    a, c = M.m1 * r + M.n1 * p, M.m2 * r + M.n2 * p
+    b, e = M.n1 * q, M.n2 * q
+    return QuadIrrational._canonical(a * c - b * e * d, b * c - a * e, d,
+                                     c * c - e * e * d)
 
 
 class CfExpansion:
@@ -277,8 +284,9 @@ class CfExpansion:
 
     def convergents(self, count: int):
         """Yield the first count convergents, n1/n2 of the prefix maps."""
-        for M in itertools.islice(_prefix_maps(self, count), 1, None):
-            yield Fraction(M.n1, M.n2)
+        maps = itertools.islice(_prefix_maps(self, count), 1, None)
+        for _, n1, _, n2 in maps:
+            yield Fraction(n1, n2)
 
     def __eq__(self, other):
         if not isinstance(other, CfExpansion):
@@ -335,11 +343,17 @@ value = QuadIrrational.value
 
 def _prefix_maps(exp: CfExpansion, length: int):
     """The maps t -> [a0; ..., a_{i-1} + 1/t] for i = 0, ..., length, as
-    products of the maps t -> a + 1/t from the identity on; x is the i-th
-    map of its i-th complete quotient."""
-    return itertools.accumulate(
-        (Gl2zMatrix(1, a, 0, 1) for a in exp.terms(length)),
-        operator.matmul, initial=_IDENTITY)
+    (m1, n1, m2, n2); x is the i-th map of its i-th complete quotient.
+
+    They are the products of the maps t -> a + 1/t, Gl2zMatrix(1, a, 0, 1),
+    from the identity (0, 1, 1, 0) on, each product written out: M after
+    t -> a + 1/t is (n1, a*n1 + m1, n2, a*n2 + m2), the recurrence of the
+    convergents n1/n2."""
+    m1, n1, m2, n2 = 0, 1, 1, 0
+    yield m1, n1, m2, n2
+    for a in exp.terms(length):
+        m1, n1, m2, n2 = n1, a * n1 + m1, n2, a * n2 + m2
+        yield m1, n1, m2, n2
 
 
 def gl2z_equivalent(x: QuadIrrational,
@@ -361,9 +375,9 @@ def gl2z_equivalent(x: QuadIrrational,
     for shift in range(n):
         if ex.period[shift:] + ex.period[:shift] != target:
             continue
-        *_, Mx = _prefix_maps(ex, len(ex.preperiod) + shift)
-        *_, My = _prefix_maps(ey, len(ey.preperiod))
-        witness = My @ Mx.inverse()
+        *_, mx = _prefix_maps(ex, len(ex.preperiod) + shift)
+        *_, my = _prefix_maps(ey, len(ey.preperiod))
+        witness = Gl2zMatrix._trusted(*my) @ Gl2zMatrix._trusted(*mx).inverse()
         # the period is primitive, so no other rotation of it matches
         if mobius_apply(witness, x) != y:
             raise RuntimeError("tail match found but witness verification failed")

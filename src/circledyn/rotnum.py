@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
+from ._record import Record
 from .circle import (CircleHomeo, circular_distance,
                      exact_translation_offset, frac, merge_sorted)
 from .errors import (DomainError, HasFixedPointError, PrecisionError,
@@ -36,15 +36,11 @@ DISPLACEMENT_WINDOW = 8.0
 CHECK_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class RotationEstimate:
+class RotationEstimate(Record):
     """Certified estimate of a rotation number: the exact value lies within
     error_bound of value, modulo 1."""
 
-    value: float
-    error_bound: float
-    iterations: int
-    base_point: float
+    __slots__ = ("value", "error_bound", "iterations", "base_point")
 
     def as_jsonable(self) -> dict:
         return {"value": self.value, "error_bound": self.error_bound,

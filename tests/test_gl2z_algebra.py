@@ -64,6 +64,16 @@ def test_inverse_sign_follows_the_matrix_determinant():
     assert flip.inverse() == flip
 
 
+def test_products_and_inverses_stay_unimodular():
+    # @ and inverse() skip the determinant check of the public constructor
+    rng = random.Random(19)
+    for _ in range(300):
+        A, B = _unimodular(rng), _unimodular(rng)
+        for M in (A @ B, A.inverse(), (A @ B).inverse(), A @ B.inverse()):
+            assert abs(M.det) == 1
+            assert M == Gl2zMatrix(*M.as_tuple())
+
+
 def test_convergents_match_the_three_term_recurrence():
     rng = random.Random(17)
     for _ in range(200):

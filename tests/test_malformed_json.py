@@ -85,6 +85,25 @@ def test_bad_witness(tmp_path, capsys, doc, message):
                               "--witness", witness], message)
 
 
+@pytest.mark.parametrize("h_word", [[0.9, "0"], [0, 0.0], ["0", 0],
+                                    [True, 0], [0, None]])
+def test_witness_h_word_must_hold_json_integers(tmp_path, capsys, h_word):
+    # int() used to read [0.9, "0"] as (0, 0), a witnessed conjugacy
+    bundle = str(tmp_path / "c.json")
+    assert run(capsys, "build-group", "--alpha", "sqrt(2)-1", "--n", "2",
+               "--circle", "--k", "2", "--g", "1,0", "--output", bundle)[0] == 0
+    verdict = ["conjugacy-verdict", "--a", bundle, "--b", bundle, "--witness"]
+    good = _write(tmp_path / "good.json", {"phi": {"kind": "identity"},
+                                           "h_word": [0, 0]})
+    code, out, _ = run(capsys, *verdict, good)
+    assert code == 0 and json.loads(out)["verdict"] == "CONJUGATE_WITNESSED"
+    bad = _write(tmp_path / "bad.json", {"phi": {"kind": "identity"},
+                                         "h_word": h_word})
+    _assert_rejected(capsys, verdict + [bad],
+                     f"field 'h_word' must be a list of integers, "
+                     f"got {h_word!r}")
+
+
 def test_missing_config_exits_2_without_a_traceback(tmp_path):
     done = subprocess.run(
         [sys.executable, "-m", "circledyn", "--config", "nope.json"] + ROTNUM,

@@ -164,6 +164,18 @@ def test_field_identities(pair):
 
 @PROPERTY
 @given(st.sampled_from(RADICANDS), st.integers(-10**4, 10**4),
+       st.integers(-10**4, 10**4).filter(bool),
+       st.integers(-10**4, 10**4).filter(bool),
+       st.lists(st.sampled_from([1, -1, 0]), max_size=12))
+def test_mobius_apply_is_the_operator_form(d, p, q, r, word):
+    M, x = _unimodular(word), QuadIrrational(p, q, d, r)
+    expected = (M.m1 + M.n1 * x) / (M.m2 + M.n2 * x)
+    got = mobius_apply(M, x)
+    assert got == expected and type(got) is type(expected)
+
+
+@PROPERTY
+@given(st.sampled_from(RADICANDS), st.integers(-10**4, 10**4),
        st.integers(-10**4, 10**4).filter(bool), st.integers(1, 10**4),
        st.lists(st.sampled_from([1, -1, 0]), max_size=12))
 def test_mobius_inverse_undoes_mobius(d, p, q, r, word):
