@@ -84,6 +84,10 @@ class HomeoExpr:
         """Closed-form inverse expression, or None if bisection is needed."""
         return None
 
+    def _solve(self, y: float, eps: float) -> float:
+        """The x with self(x) = y to within eps, for the `Inverse` node."""
+        return _bisect_inverse(self, y, eps)
+
     def payload(self) -> dict:
         """The parameters by name, with tuples written as lists."""
         return {f: _listed(getattr(self, f)) for f in self.fields}
@@ -361,6 +365,43 @@ def _pchip_endpoint(h0, h1, d0, d1):
     return t
 
 
+def _hermite_root(segment, t, eps):
+    """The x of the segment (x0, h, y0, y1, h*d0, h*d1) where its Hermite
+    form takes the value t, to within about eps/16, by Newton's method in
+    s = (x - x0)/h safeguarded by the bracket [a, b] around the root.
+
+    Written from y0, the form is y0 + p(s) with
+        p(s) = (y1 - y0) s^2 (3 - 2s) + h*d0 s (1 - s)^2 + h*d1 s^2 (s - 1),
+    which is increasing on [0, 1] for Fritsch-Carlson tangents.  A step that
+    leaves the bracket is replaced by its midpoint, so the step taken last
+    bounds the distance to the root.
+    """
+    x0, h, y0, y1, hd0, hd1 = segment
+    r = t - y0
+    dy = y1 - y0
+    tol = eps / (16.0 * h)
+    a, b = 0.0, 1.0
+    s = min(max(r / dy, 0.0), 1.0)
+    for _ in range(BISECT_MAX_ITER):
+        u = 1.0 - s
+        g = s * (s * dy * (3.0 - 2.0 * s) + hd0 * u * u - hd1 * s * u) - r
+        if g < 0.0:
+            a = s
+        elif g > 0.0:
+            b = s
+        else:
+            break
+        dg = 6.0 * dy * s * u + hd0 * u * (1.0 - 3.0 * s) + hd1 * s * (3.0 * s - 2.0)
+        step = s - g / dg if dg > 0.0 else a
+        if not a < step < b:
+            step = 0.5 * (a + b)
+        done = abs(step - s) <= tol
+        s = step
+        if done:
+            break
+    return x0 + s * h
+
+
 @_register
 class PiecewiseMonotone(HomeoExpr):
     """Monotone interpolant through strictly increasing breakpoints.
@@ -492,6 +533,46 @@ class PiecewiseMonotone(HomeoExpr):
                  + hd1 * (s3 - s2))
         return v + m if periodic else v
 
+    def _solve(self, y, eps):
+        """Invert a cubic table on the one segment that holds y.
+
+        y is reduced by the period, its segment found on the closed ys of
+        _knots, and the Hermite form solved there by `_hermite_root`.  The
+        result keeps bisection's certificate: it is the midpoint of floats
+        lo < hi with hi - lo <= eps and F(lo) < y <= F(hi), F being this
+        table's own `_eval`.  Where that cannot be met (eps below the
+        spacing of the floats near the root, or y next to the largest
+        float), and for linear tables, the solve is bisection's.
+        """
+        segments = self._segments
+        if segments is None or eps * 1e-2 <= 0.0:
+            return _bisect_inverse(self, y, eps)
+        xs, ys = self._knots
+        if self._periodic:
+            y_first = ys[0]
+            m = floor(y - y_first)
+            t = y - m
+            if t < y_first:
+                m -= 1
+                t = y - m
+            elif t >= ys[-1]:
+                m += 1
+                t = y - m
+            i = bisect_right(ys, t, 1, self._segment_count) - 1
+            x = _hermite_root(segments[i], t, eps) + m
+        elif y <= ys[0]:
+            x = self._x_first + (y - ys[0]) / self._lo_slope
+        elif y >= ys[-1]:
+            x = self._x_last + (y - ys[-1]) / self._hi_slope
+        else:
+            x = _hermite_root(segments[bisect_right(ys, y) - 1], y, eps)
+        lo = x - 0.25 * eps
+        hi = x + 0.25 * eps
+        if (lo < hi and hi - lo <= eps
+                and self._eval(lo, eps) < y <= self._eval(hi, eps)):
+            return 0.5 * lo + 0.5 * hi
+        return _bisect_inverse(self, y, eps)
+
     def structural_inverse(self):
         if self.interpolation == "linear":
             return PiecewiseMonotone(self.ys, self.xs, "linear", self.extension)
@@ -574,8 +655,9 @@ class Compose(HomeoExpr):
 
 @_register
 class Inverse(HomeoExpr):
-    """Formal inverse, evaluated by monotone bisection.  `inverse` builds one
-    only for a node without a closed-form inverse."""
+    """Formal inverse, evaluated by the inner node's `_solve`: monotone
+    bisection, or a segment-local solve for a cubic table.  `inverse` builds
+    one only for a node without a closed-form inverse."""
 
     __slots__ = ("inner",)
     kind = "inverse"
@@ -585,7 +667,7 @@ class Inverse(HomeoExpr):
         self.inner = inner
 
     def _eval(self, x, eps):
-        return _bisect_inverse(self.inner, x, eps)
+        return self.inner._solve(x, eps)
 
     def structural_inverse(self):
         return self.inner

@@ -274,6 +274,15 @@ class CfExpansion:
         self.preperiod = preperiod
         self.period = _minimal_cycle(period)
 
+    @classmethod
+    def _trusted(cls, preperiod: tuple, period: tuple) -> "CfExpansion":
+        """The expansion of int terms already known to pass the checks of
+        `__init__`, with a minimal period, built without them."""
+        self = object.__new__(cls)
+        self.preperiod = preperiod
+        self.period = period
+        return self
+
     def term(self, i: int) -> int:
         if i < len(self.preperiod):
             return self.preperiod[i]
@@ -329,8 +338,12 @@ def cf_expand(x: QuadIrrational) -> CfExpansion:
     while True:
         state = (P, Q)
         if state in seen:
+            # the terms after the first are >= 1, and the period is minimal:
+            # a shorter period would repeat the complete quotient, so the
+            # state, sooner
             start = seen[state]
-            return CfExpansion(terms[:start], terms[start:])
+            return CfExpansion._trusted(tuple(terms[:start]),
+                                        tuple(terms[start:]))
         seen[state] = len(terms)
         a = _floor_surd(P, sqrtD, Q)
         terms.append(a)

@@ -12,7 +12,8 @@ Conjugate maps share their rotation number, and the identity behind it,
 iterates a closed-form conjugate lift T_s o psi o G o psi^-1 through G
 alone, with psi^-1 and psi evaluated once each (`_conjugate_split`).
 `approximate_poincare_conjugacy` iterates its map whole, since it matches
-the map's own orbit.
+the map's own orbit, and for a closed-form lift reads its defect off that
+orbit.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from .circle import (CircleHomeo, circular_distance,
                      exact_translation_offset, frac, merge_sorted)
 from .errors import (DomainError, HasFixedPointError, PrecisionError,
                      RationalRotationError, OrbitTieWarning)
-from .expr import (CellHat, Compose, HomeoExpr, Identity, PiecewiseMonotone,
-                   Translate, _register, compose_all, evaluate, inverse)
+from .expr import (DEFAULT_EPS, CellHat, Compose, HomeoExpr, Identity,
+                   PiecewiseMonotone, Translate, _register, compose_all,
+                   evaluate, inverse)
 
 TIE_RESOLUTION = 1e-12
 #: conjugate_to_translation checks f(x) > x at DISPLACEMENT_GRID equispaced
@@ -100,7 +102,8 @@ def _conjugate_split(lift: HomeoExpr):
 def _reduced_orbit(f: CircleHomeo, N: int, x0: float, collect: bool):
     """The orbit pass of `rotation_number`: iterate the normalized lift N
     times on reduced angles, tracking the deck count exactly.  Returns the
-    estimate, and the N orbit angles when collect is set.
+    estimate, and when collect is set the N + 1 orbit angles, the last of
+    them the final angle.
 
     The base point is validated here, once; every later angle is a finite
     float in [0, 1), so the loop calls `_eval` directly.
@@ -110,7 +113,9 @@ def _reduced_orbit(f: CircleHomeo, N: int, x0: float, collect: bool):
     every step, s added to the deck count for each of the N steps, and psi
     once on the last angle, since psi commutes with the unit translation.
     Collected angles are F's own orbit, so collect keeps the identity split,
-    which is the loop on F itself.
+    which is the loop on F itself.  A closed-form F then runs at accuracy
+    min(1/(10 N^2), DEFAULT_EPS): its values do not depend on eps, and every
+    eps check of evaluating F at DEFAULT_EPS is made on each angle.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -123,6 +128,8 @@ def _reduced_orbit(f: CircleHomeo, N: int, x0: float, collect: bool):
     # conversion that could overflow
     if not -math.inf < x0 < math.inf:
         raise DomainError(f"non-finite base point {x0!r}")
+    if collect and not f.lift.approximate:
+        step_eps = min(step_eps, DEFAULT_EPS)
     s, psi, g, psi_inv = ((0, None, f.lift, None) if collect
                           else _conjugate_split(f.lift))
     step = g._eval
@@ -141,7 +148,7 @@ def _reduced_orbit(f: CircleHomeo, N: int, x0: float, collect: bool):
             y -= 1.0
             m += 1
         deck += m
-        if collect and k < N - 1:
+        if collect:
             angles.append(y)
     end = y if psi is None else psi._eval(y, step_eps)
     total = deck + (end - start)
@@ -170,13 +177,18 @@ def rotation_number(f: CircleHomeo, N: int, x0: float = 0.0) -> RotationEstimate
     return _reduced_orbit(f, N, x0, collect=False)[0]
 
 
-def _sorted_unique(values: list[float], what: str) -> list[float]:
-    out = merge_sorted(values, TIE_RESOLUTION)
-    dropped = len(values) - len(out)
-    if dropped:
-        warnings.warn(f"merged {dropped} numerically tied {what} points",
-                      OrbitTieWarning, stacklevel=3)
-    return out
+def _orbit_knots(angles: list[float], N: int):
+    """The first N orbit angles merged as `merge_sorted` merges them at
+    TIE_RESOLUTION, and the image of each angle kept: the orbit's next
+    angle."""
+    xs, images = [], []
+    for j in sorted(range(N), key=angles.__getitem__):
+        x = angles[j]
+        if xs and x - xs[-1] < TIE_RESOLUTION:
+            continue
+        xs.append(x)
+        images.append(angles[j + 1])
+    return xs, images
 
 
 def rational_screen(value: float, bound: float,
@@ -303,7 +315,10 @@ def approximate_poincare_conjugacy(f: CircleHomeo, N: int, x0: float = 0.0
     The orbit {f^k(x0)} is matched in circular order to {k*alpha mod 1}
     (alpha the rotation estimate); the returned map interpolates the pairs.
     The defect is max_k of the circular distance between h(f(p_k)) and
-    h(p_k) + alpha; it shrinks as N grows when f is minimal.
+    h(p_k) + alpha; it shrinks as N grows when f is minimal.  h(p_k) is the
+    target matched to the knot p_k, and for a closed-form lift f(p_k) is the
+    orbit's next angle, computed as f(p_k) would compute it; a lift with an
+    approximate member is evaluated at each p_k again.
 
     Raises RationalRotationError when the estimate is consistent with a
     rational of denominator at most sqrt(N)/2 (capped at 1000), and
@@ -321,27 +336,33 @@ def approximate_poincare_conjugacy(f: CircleHomeo, N: int, x0: float = 0.0
     if hit is not None:
         raise RationalRotationError(hit[0], hit[1])
     alpha = est.value
-    targets = []
-    t = 0.0
-    for _ in range(N):
-        targets.append(t)
-        t = frac(t + alpha)
     # Pair the two orbits by circular rank: the r-th smallest orbit point is
     # sent to the r-th smallest target point.  When the estimate is exact
     # this coincides with the index pairing f^k(x0) -> k*alpha; rank pairing
     # additionally tolerates the O(1/N) estimate error, which scrambles the
     # index order for k near N.  Ties at resolution 1e-12 are merged in
     # index order with a warning.
-    xs = _sorted_unique(angles, "orbit")
-    ts = _sorted_unique(targets, "target")
+    xs, images = _orbit_knots(angles, N)
+    del angles      # what the table needs lives on in xs and images
+    targets = []
+    t = 0.0
+    for _ in range(N):
+        targets.append(t)
+        t = frac(t + alpha)
+    ts = merge_sorted(targets, TIE_RESOLUTION)
+    for what, kept in (("orbit", xs), ("target", ts)):
+        if len(kept) < N:
+            warnings.warn(f"merged {N - len(kept)} numerically tied {what} "
+                          "points", OrbitTieWarning, stacklevel=2)
     if len(xs) != len(ts):
         raise ValueError(
             f"degenerate orbit data: {len(xs)} distinct orbit points vs "
             f"{len(ts)} distinct targets")
     conj = PiecewiseMonotone(xs, ts, "linear", "periodic")
+    if f.lift.approximate:
+        images = [f(x) for x in xs]
     defect = 0.0
-    for k in range(len(xs)):
-        image = f(xs[k])
+    for image, t in zip(images, ts):
         defect = max(defect, circular_distance(
-            frac(evaluate(conj, image)), frac(evaluate(conj, xs[k]) + alpha)))
+            frac(conj._eval(image, DEFAULT_EPS)), frac(t + alpha)))
     return conj, defect

@@ -86,6 +86,19 @@ def test_convergents_match_the_three_term_recurrence():
         assert list(exp.convergents(12)) == expected
 
 
+def test_expansions_equal_the_checked_constructor():
+    # cf_expand skips the constructor's checks; the terms are the same
+    rng = random.Random(19)
+    surds = [_quad(rng) for _ in range(1500)]
+    surds += [QuadIrrational(p, q, d, r) for d in (2, 3, 19, 94, 991)
+              for p in (-7, 0, 5) for q in (1, -2) for r in (1, 3, 10)]
+    for x in surds:
+        exp = cf_expand(x)
+        checked = CfExpansion(exp.preperiod, exp.period)
+        assert exp == checked
+        assert all(type(a) is int for a in exp.preperiod + exp.period)
+
+
 def test_witness_maps_x_to_y_on_seeded_pairs():
     rng = random.Random(18)
     for _ in range(200):
