@@ -1,23 +1,26 @@
 """Immutable value records: the base of the package's small value classes
-(estimates, reports, tables, actions, matrices).
+(irrationals, continued fractions, matrices, estimates, reports, tables,
+actions).
 
 A subclass of `Record` names its fields once, in `__slots__`, in
 constructor order.  Trailing fields may take defaults from the class's
 `_defaults` mapping; a callable default is a factory, called once per
-instance.  From the field names the base derives
+instance.  The base's methods are written once for every class, read only
+`__slots__` and `_defaults`, and generate no code per class.  They give
 
-- the constructor, which runs the class's `_check(self)`, if it has one,
-  once every field is set, and `_trusted(*values)`, the same constructor
-  without `_check`, for values already known to pass it;
+- the constructor, which takes each field by position or by name and runs
+  the class's `_check(self)`, if it has one, once every field is set, and
+  `_trusted(*values)`, the same constructor without `_check`, for values
+  already known to pass it;
 - `==` (same class only, otherwise `NotImplemented`), `hash` and `repr`
   (`Name(field=value, ...)`) of the field tuple;
 - copying and pickling, which rebuild through the constructor;
 
-and it refuses assignment and deletion with `AttributeError`.
+and it refuses assignment and deletion with `AttributeError`.  A missing,
+unknown or repeated field, or too many positional values, is a
+`TypeError`.  A subclass may write its own `__init__` that normalizes its
+inputs and hands the fields to `Record.__init__`.
 """
-
-#: Signature default of a field whose default is a factory.
-_FACTORY = object()
 
 
 class Record:
@@ -26,13 +29,61 @@ class Record:
     __slots__ = ()
     _defaults = {}
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        for name, method in _methods(cls).items():
-            setattr(cls, name, method)
+    def __init__(self, *args, **kwargs):
+        self._fill(args, kwargs)
+        self._check()
+
+    @classmethod
+    def _trusted(cls, *args, **kwargs):
+        self = object.__new__(cls)
+        self._fill(args, kwargs)
+        return self
+
+    def _fill(self, args: tuple, kwargs: dict):
+        """Set the fields from constructor arguments."""
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values, in order, of a call with keywords, defaults or
+        the wrong number of positional values."""
+        names, title = cls.__slots__, cls.__qualname__
+        if len(args) > len(names):
+            raise TypeError(f"{title}() takes {len(names)} fields, "
+                            f"got {len(args)} positional values")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{title}() got an unknown field {name!r}")
+            if name in values:
+                raise TypeError(f"{title}() got field {name!r} twice")
+            values[name] = value
+        for name in names:
+            if name in values:
+                continue
+            if name not in cls._defaults:
+                raise TypeError(f"{title}() missing field {name!r}")
+            default = cls._defaults[name]
+            values[name] = default() if callable(default) else default
+        return [values[name] for name in names]
+
+    def _check(self):
+        """Raise ValueError if the fields do not make a valid value."""
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value
@@ -47,49 +98,3 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-def _methods(cls) -> dict:
-    """__init__, _trusted, __eq__ and __hash__ of the record class cls,
-    compiled from its field names, as a dataclass compiles them: one slot
-    store per field to construct, one tuple per operand to compare."""
-    names = cls.__slots__
-    scope = {"_new": object.__new__, "_FACTORY": _FACTORY}
-    params, body = [], []
-    for name in names:
-        scope[f"_set_{name}"] = vars(cls)[name].__set__
-        if name in cls._defaults:
-            default = cls._defaults[name]
-            if callable(default):
-                scope[f"_make_{name}"] = default
-                default = _FACTORY
-                body.append(f"if {name} is _FACTORY: {name} = _make_{name}()")
-            scope[f"_default_{name}"] = default
-            name = f"{name}=_default_{name}"
-        params.append(name)
-    body += [f"_set_{name}(self, {name})" for name in names]
-    check = ["self._check()"] if hasattr(cls, "_check") else []
-    signature = ", ".join(params)
-
-    def fields(obj):
-        return "(" + "".join(f"{obj}.{name}, " for name in names) + ")"
-
-    source = "\n".join(
-        [f"def __init__(self, {signature}):"]
-        + [f"    {line}" for line in body + check]
-        + [f"def _trusted(cls, {signature}):", "    self = _new(cls)"]
-        + [f"    {line}" for line in body]
-        + ["    return self",
-           "def __eq__(self, other):",
-           "    if other.__class__ is self.__class__:",
-           f"        return {fields('self')} == {fields('other')}",
-           "    return NotImplemented",
-           "def __hash__(self):",
-           f"    return hash({fields('self')})"])
-    exec(source, scope)
-    methods = {name: scope[name]
-               for name in ("__init__", "_trusted", "__eq__", "__hash__")}
-    for name, method in methods.items():
-        method.__qualname__ = f"{cls.__qualname__}.{name}"
-    methods["_trusted"] = classmethod(methods["_trusted"])
-    return methods

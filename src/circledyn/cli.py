@@ -222,11 +222,26 @@ def _check_rebuilt(doc: dict, name: str, rebuilt: list, load=lambda v: v):
                              "the action rebuilt from (alpha, n, k, g_word)")
 
 
+class _JsonObject(dict):
+    """An object of the JSON document at path, whose missing fields are
+    ValueErrors that name the document."""
+
+    __slots__ = ("path",)
+
+    def __init__(self, path: str, fields: dict):
+        super().__init__(fields)
+        self.path = path
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.path}: missing field {key!r}")
+
+
 def _load_json(path: str) -> dict:
     """The JSON object in the file at path: the one reader of config,
     bundle, witness and file: documents."""
     with open(path) as handle:
-        doc = json.load(handle)
+        doc = json.load(handle, object_hook=lambda fields:
+                        _JsonObject(path, fields))
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object, "
                          f"got {type(doc).__name__}")

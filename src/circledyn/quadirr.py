@@ -40,7 +40,15 @@ def _squarefree_split(d: int) -> tuple[int, int]:
     return s, d0
 
 
-class QuadIrrational:
+def _lowest(p: int, q: int, d: int, r: int) -> tuple[int, int, int, int]:
+    """(p, q, d, r) scaled to r > 0 and gcd(p, q, r) = 1."""
+    if r < 0:
+        p, q, r = -p, -q, -r
+    g = math.gcd(p, q, r)
+    return p // g, q // g, d, r // g
+
+
+class QuadIrrational(Record):
     """Canonical exact quadratic irrational (p + q*sqrt(d)) / r.
 
     The arithmetic operators combine it exactly with ints, Fractions and
@@ -61,37 +69,14 @@ class QuadIrrational:
         q *= s
         if d == 1:
             raise ValueError("d must not be a perfect square (value would be rational)")
-        self._assign(p, q, d, r)
-
-    def _assign(self, p: int, q: int, d: int, r: int):
-        """Store the value with r > 0 and gcd(p, q, r) = 1."""
-        if r < 0:
-            p, q, r = -p, -q, -r
-        g = math.gcd(p, q, r)
-        self.p = p // g
-        self.q = q // g
-        self.d = d
-        self.r = r // g
+        super().__init__(*_lowest(p, q, d, r))
 
     @classmethod
     def _canonical(cls, p: int, q: int, d: int, r: int) -> "QuadIrrational":
         """The constructor for results of canonical operands: ints p, q != 0,
         r != 0 and a square-free d >= 2.  It skips the checks and the
         radicand split of __init__ and keeps only the sign and gcd step."""
-        x = object.__new__(cls)
-        x._assign(p, q, d, r)
-        return x
-
-    def _tuple(self):
-        return (self.p, self.q, self.d, self.r)
-
-    def __eq__(self, other):
-        if not isinstance(other, QuadIrrational):
-            return NotImplemented
-        return self._tuple() == other._tuple()
-
-    def __hash__(self):
-        return hash(self._tuple())
+        return cls._trusted(*_lowest(p, q, d, r))
 
     def __repr__(self):
         return f"QuadIrrational(({self.p} + {self.q}*sqrt({self.d})) / {self.r})"
@@ -255,7 +240,7 @@ def mobius_apply(M: Gl2zMatrix, x: QuadIrrational) -> QuadIrrational:
                                      c * c - e * e * d)
 
 
-class CfExpansion:
+class CfExpansion(Record):
     """Eventually periodic continued fraction [preperiod; period repeating].
 
     All terms after the first are >= 1, and the period is minimal.
@@ -271,17 +256,7 @@ class CfExpansion:
         for a in preperiod[1:] + period:
             if a < 1:
                 raise ValueError("all terms except the first must be >= 1")
-        self.preperiod = preperiod
-        self.period = _minimal_cycle(period)
-
-    @classmethod
-    def _trusted(cls, preperiod: tuple, period: tuple) -> "CfExpansion":
-        """The expansion of int terms already known to pass the checks of
-        `__init__`, with a minimal period, built without them."""
-        self = object.__new__(cls)
-        self.preperiod = preperiod
-        self.period = period
-        return self
+        super().__init__(preperiod, _minimal_cycle(period))
 
     def term(self, i: int) -> int:
         if i < len(self.preperiod):
@@ -296,14 +271,6 @@ class CfExpansion:
         maps = itertools.islice(_prefix_maps(self, count), 1, None)
         for _, n1, _, n2 in maps:
             yield Fraction(n1, n2)
-
-    def __eq__(self, other):
-        if not isinstance(other, CfExpansion):
-            return NotImplemented
-        return self.preperiod == other.preperiod and self.period == other.period
-
-    def __hash__(self):
-        return hash((self.preperiod, self.period))
 
     def __repr__(self):
         return f"CfExpansion(preperiod={list(self.preperiod)}, period={list(self.period)})"

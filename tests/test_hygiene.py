@@ -1,15 +1,17 @@
 """Source hygiene of the package, checked on its syntax trees: every import
 is from the standard library or from circledyn itself, sits at module level,
-and every imported name is used.  The README's schema table lists every
-expression kind.  Start-up stays light (no dataclasses or typing), and the
-value records keep the equality, hashing, immutability, copying and
-pickling of frozen dataclasses."""
+and every imported name is used, and no module calls exec, eval or compile.
+The README's schema table lists every expression kind.  Start-up stays
+light (no dataclasses or typing), and the value records keep the equality,
+hashing, immutability, copying and pickling of frozen dataclasses."""
 
 import ast
 import copy
+import hashlib
 import operator
 import os
 import pickle
+import random
 import re
 import subprocess
 import sys
@@ -18,11 +20,12 @@ from pathlib import Path
 import pytest
 
 import circledyn
-from circledyn import (CircleZnAction, CochainTable, CocycleTable,
-                       ConjugacyReport, ConjugacyWitness, Gl2zMatrix,
-                       GroupLaw, Identity, OrbitSample, ProbeReport,
-                       ProbeVerdict, RotationEstimate, Translate, Verdict,
-                       ZnAction, expr, sqrt_of)
+from circledyn import (CfExpansion, CircleZnAction, CochainTable,
+                       CocycleTable, ConjugacyReport, ConjugacyWitness,
+                       Gl2zMatrix, GroupLaw, Identity, OrbitSample,
+                       ProbeReport, ProbeVerdict, QuadIrrational,
+                       RotationEstimate, Translate, Verdict, ZnAction,
+                       cf_expand, expr, mobius_apply, sqrt_of)
 
 PACKAGE = Path(circledyn.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -111,6 +114,15 @@ def test_every_import_is_at_module_level():
                    if isinstance(node, (ast.Import, ast.ImportFrom))
                    and id(node) not in top]
     assert nested == []
+
+
+def test_no_module_calls_exec_eval_or_compile():
+    # source compiled at run time is never cached in __pycache__
+    calls = [f"{path.name}:{node.lineno} calls {node.func.id}"
+             for path in MODULES for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("exec", "eval", "compile")]
+    assert calls == []
 
 
 # -- start-up and the value records -------------------------------------------
@@ -222,3 +234,68 @@ def test_record_checks_run_with_their_messages():
         CochainTable(1, "inhomogeneous", {(0, 0): 1})
     with pytest.raises(ValueError, match=r"must be 1, got 2"):
         Gl2zMatrix(2, 0, 0, 1)
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS,
+                         ids=[cls.__name__ for cls, _ in RECORDS])
+def test_record_rejects_bad_fields(cls, fields):
+    first, *rest = fields
+    values = list(fields.values())
+    calls = [
+        ((), {name: fields[name] for name in rest}, "missing field"),
+        ((), dict(fields, unknown=0), "unknown field 'unknown'"),
+        ((values[0],), fields, f"field {first!r} twice"),
+        ((*values, 0), {}, "positional"),
+    ]
+    for make in (cls, cls._trusted):
+        for args, kwargs, message in calls:
+            with pytest.raises(TypeError, match=message):
+                make(*args, **kwargs)
+
+
+def _irrational_values(seed=1009, count=300) -> list:
+    """Seeded irrationals from the constructor, the operators and
+    mobius_apply, each followed by its continued fraction expansion."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.choice([2, 3, 5, 8, 12, 13, 18, 9991])
+        x = QuadIrrational(rng.randint(-30, 30), rng.choice([-4, -1, 1, 3, 6]),
+                           d, rng.choice([-12, -6, -1, 1, 2, 4, 9]))
+        y = QuadIrrational(rng.randint(-30, 30), rng.choice([-4, -1, 1, 2]),
+                           d, rng.choice([1, 3, -5]))
+        for v in (x, -x, x + y, x * y, x / y, x - rng.randint(-5, 5),
+                  mobius_apply(Gl2zMatrix(3, 2, 4, 3), x)):
+            if isinstance(v, QuadIrrational):
+                out += [v, cf_expand(v)]
+    return out
+
+
+def test_irrationals_keep_their_repr_equality_and_hash():
+    values = _irrational_values()
+    digest = hashlib.sha256()
+    for v in values:
+        first = next(i for i, w in enumerate(values) if w == v)
+        digest.update(f"{v!r}|{hash(v)}|{first}\n".encode())
+    # recorded with the hand-written __eq__, __hash__ and __repr__ these
+    # classes had before they were records
+    assert (len(values), digest.hexdigest()) == (
+        304, "05a3784a43f3c0c4eb8ff5be409901662aeb2c318cee0ef4c532d134e6aec21d")
+
+
+@pytest.mark.parametrize("value", [QuadIrrational(3, 6, 8, -9),
+                                   CfExpansion([1, 2], [3, 3])],
+                         ids=lambda v: type(v).__name__)
+def test_irrationals_are_frozen_records(value):
+    for name in value.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 3)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.unknown = 3
+    for twin in (copy.copy(value), copy.deepcopy(value),
+                 pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value)
+        assert repr(twin) == repr(value)

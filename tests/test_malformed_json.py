@@ -85,6 +85,43 @@ def test_bad_witness(tmp_path, capsys, doc, message):
                               "--witness", witness], message)
 
 
+def _circle_bundle(tmp_path, capsys) -> dict:
+    path = tmp_path / "c.json"
+    assert run(capsys, "build-group", "--alpha", "sqrt(2)-1", "--n", "2",
+               "--circle", "--k", "2", "--g", "1,0", "--output", str(path))[0] == 0
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("drop", [("g_word",), ("n",), ("alpha", "r"),
+                                  ("alpha", "p")], ids=".".join)
+def test_bundle_missing_a_field_names_the_file(tmp_path, capsys, drop):
+    doc = _circle_bundle(tmp_path, capsys)
+    *parents, name = drop
+    parent = doc
+    for key in parents:
+        parent = parent[key]
+    del parent[name]
+    path = _write(tmp_path / "gap.json", doc)
+    _assert_rejected(capsys, ["orbit", "--group", path],
+                     f"circledyn: {path}: missing field {name!r}\n")
+
+
+def test_witness_missing_phi_names_the_file(tmp_path, capsys):
+    bundle = _write(tmp_path / "c.json", _circle_bundle(tmp_path, capsys))
+    witness = _write(tmp_path / "w.json", {"h_word": [0, 0]})
+    _assert_rejected(capsys, ["conjugacy-verdict", "--a", bundle, "--b", bundle,
+                              "--witness", witness],
+                     f"circledyn: {witness}: missing field 'phi'\n")
+
+
+def test_node_payload_keeps_the_library_key_error(tmp_path, capsys):
+    # a node's parameters are read from a plain payload dict, so the
+    # missing-parameter KeyError of expr_from_jsonable reaches main as is
+    path = _write(tmp_path / "x.json", {"kind": "translate"})
+    _assert_rejected(capsys, ["rotnum", "--lift", f"file:{path}"],
+                     "circledyn: 'amount'\n")
+
+
 @pytest.mark.parametrize("h_word", [[0.9, "0"], [0, 0.0], ["0", 0],
                                     [True, 0], [0, None]])
 def test_witness_h_word_must_hold_json_integers(tmp_path, capsys, h_word):

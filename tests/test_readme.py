@@ -63,12 +63,6 @@ def test_cli_block_runs(tmp_path, monkeypatch):
         assert argv[0] == "circledyn"
         _run_documented(argv)
     assert json.loads(Path("report.json").read_text())["iterations"] == 10000
-
-
-def test_cli_c32_euler_cocycle(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    for argv in _commands():
-        if argv[1] in ("build-group", "euler-cocycle") and "c32.json" in argv:
-            _run_documented(argv)
+    # the c32 euler-cocycle table, over the 81 words of the radius-1 ball
     table = json.loads(Path("table.json").read_text())
     assert len(table["values"]) == 81 * 81
