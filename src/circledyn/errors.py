@@ -38,6 +38,13 @@ class NotPrimitiveError(CircledynError, ValueError):
     """Word lies in the k-th power subgroup; the circle construction needs g outside it."""
 
 
+class MissingFieldError(CircledynError, ValueError, KeyError):
+    """A serialized expression node lacks a parameter.  Also a KeyError, as
+    a missing parameter was before it named the node."""
+
+    __str__ = Exception.__str__     # not KeyError's, which quotes the message
+
+
 class BudgetExceededError(CircledynError, RuntimeError):
     """Word-ball enumeration would exceed the configured budget."""
 

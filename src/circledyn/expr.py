@@ -17,7 +17,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from math import atan, floor, fsum, isfinite, pi, tan
 
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, MissingFieldError, PrecisionError
 
 DEFAULT_EPS = 1e-12
 
@@ -79,6 +79,26 @@ class HomeoExpr:
 
     def _eval(self, x: float, eps: float) -> float:
         raise NotImplementedError
+
+    def _orbit(self, y: float, n: int, eps: float, angles):
+        """n steps of the reduced orbit of the finite float y: each step
+        takes z = self(y) and keeps the angle z - floor(z) in [0, 1),
+        appended to angles unless that is None.  Returns the last angle and
+        the sum of the floors (the deck count).  Nodes may run this loop in
+        a fused kernel that does the same float operations."""
+        step = self._eval
+        deck = 0
+        for _ in range(n):
+            z = step(y, eps)
+            m = floor(z)
+            y = z - m
+            if y >= 1.0:   # guard against floating wrap at the cell edge
+                y -= 1.0
+                m += 1
+            deck += m
+            if angles is not None:
+                angles.append(y)
+        return y, deck
 
     def structural_inverse(self):
         """Closed-form inverse expression, or None if bisection is needed."""
@@ -190,6 +210,24 @@ class Translate(HomeoExpr):
 
     def _eval(self, x, eps):
         return x + self._af
+
+    def _orbit(self, y, n, eps, angles):
+        # HomeoExpr._orbit with _eval inlined, unless a subclass replaced it
+        if type(self)._eval is not Translate._eval:
+            return HomeoExpr._orbit(self, y, n, eps, angles)
+        a = self._af
+        deck = 0
+        for _ in range(n):
+            z = y + a
+            m = floor(z)
+            y = z - m
+            if y >= 1.0:
+                y -= 1.0
+                m += 1
+            deck += m
+            if angles is not None:
+                angles.append(y)
+        return y, deck
 
     def structural_inverse(self):
         return Translate(-self.amount)
@@ -533,6 +571,47 @@ class PiecewiseMonotone(HomeoExpr):
                  + hd1 * (s3 - s2))
         return v + m if periodic else v
 
+    def _orbit(self, y, n, eps, angles):
+        # HomeoExpr._orbit with _eval's periodic branch inlined, unless a
+        # subclass replaced _eval
+        if not self._periodic or type(self)._eval is not PiecewiseMonotone._eval:
+            return HomeoExpr._orbit(self, y, n, eps, angles)
+        xs, ys = self._knots
+        x_first, x_wrap = self._x_first, self._x_wrap
+        count, segments = self._segment_count, self._segments
+        deck = 0
+        for _ in range(n):
+            m = floor(y - x_first)
+            t = y - m
+            if t < x_first:
+                m -= 1
+                t = y - m
+            elif t >= x_wrap:
+                m += 1
+                t = y - m
+            i = bisect_right(xs, t, 1, count) - 1
+            if t == xs[i]:
+                z = ys[i] + m
+            elif segments is None:
+                x0, y0 = xs[i], ys[i]
+                z = y0 + (t - x0) * (ys[i + 1] - y0) / (xs[i + 1] - x0) + m
+            else:
+                x0, h, y0, y1, hd0, hd1 = segments[i]
+                s = (t - x0) / h
+                s2 = s * s
+                s3 = s2 * s
+                z = (y0 * (2.0 * s3 - 3.0 * s2 + 1.0) + hd0 * (s3 - 2.0 * s2 + s)
+                     + y1 * (-2.0 * s3 + 3.0 * s2) + hd1 * (s3 - s2)) + m
+            m = floor(z)
+            y = z - m
+            if y >= 1.0:
+                y -= 1.0
+                m += 1
+            deck += m
+            if angles is not None:
+                angles.append(y)
+        return y, deck
+
     def _solve(self, y, eps):
         """Invert a cubic table on the one segment that holds y.
 
@@ -787,3 +866,6 @@ def expr_from_jsonable(doc: dict) -> HomeoExpr:
         return load(payload, children)
     except TypeError as exc:    # parameters or children that do not fit
         raise ValueError(f"malformed {kind!r} node: {exc}") from exc
+    except KeyError as exc:
+        raise MissingFieldError(f"malformed {kind!r} node: missing field "
+                                f"{exc.args[0]!r}") from exc

@@ -14,12 +14,22 @@ alone, with psi^-1 and psi evaluated once each (`_conjugate_split`).
 `approximate_poincare_conjugacy` iterates its map whole, since it matches
 the map's own orbit, and for a closed-form lift reads its defect off that
 orbit.
+
+The loop itself is the iterated node's `_orbit`.  A periodic monotone
+table and a translation run it as a fused kernel that inlines their
+`_eval` and does exactly its float operations, so estimates, angles and
+deck counts are bit-identical to one `_eval` call per step; a step on a
+256-knot `sine_lift` table costs about 0.64 us instead of 0.8 us, and a
+rigid rotation's 0.09 us instead of 0.13 us (Python 3.11, 2-vCPU shared
+VM).  Every other node, and a subclass that replaces `_eval`, is iterated
+through its own `_eval`.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from array import array
 
 from ._record import Record
 from .circle import (CircleHomeo, circular_distance,
@@ -106,7 +116,7 @@ def _reduced_orbit(f: CircleHomeo, N: int, x0: float, collect: bool):
     them the final angle.
 
     The base point is validated here, once; every later angle is a finite
-    float in [0, 1), so the loop calls `_eval` directly.
+    float in [0, 1), so G's `_orbit` runs the loop without checks.
 
     Without collect the lift F is iterated through `_conjugate_split`,
     F = T_s o psi o G o psi^-1: psi^-1 once on the reduced base point, G on
@@ -132,24 +142,14 @@ def _reduced_orbit(f: CircleHomeo, N: int, x0: float, collect: bool):
         step_eps = min(step_eps, DEFAULT_EPS)
     s, psi, g, psi_inv = ((0, None, f.lift, None) if collect
                           else _conjugate_split(f.lift))
-    step = g._eval
     start = frac(x0)
     y = float(start)
     if psi_inv is not None:
         # G is a lift, so its orbit may start outside [0, 1)
         y = psi_inv._eval(y, step_eps)
-    deck = s * N
     angles = [start] if collect else None
-    for k in range(N):
-        z = step(y, step_eps)
-        m = math.floor(z)
-        y = z - m
-        if y >= 1.0:   # guard against floating wrap at the cell edge
-            y -= 1.0
-            m += 1
-        deck += m
-        if collect:
-            angles.append(y)
+    y, deck = g._orbit(y, N, step_eps, angles)
+    deck += s * N
     end = y if psi is None else psi._eval(y, step_eps)
     total = deck + (end - start)
     est = RotationEstimate(value=frac(total / N), error_bound=1.0 / N,
@@ -179,16 +179,21 @@ def rotation_number(f: CircleHomeo, N: int, x0: float = 0.0) -> RotationEstimate
 
 def _orbit_knots(angles: list[float], N: int):
     """The first N orbit angles merged as `merge_sorted` merges them at
-    TIE_RESOLUTION, and the image of each angle kept: the orbit's next
-    angle."""
-    xs, images = [], []
+    TIE_RESOLUTION, the image of each angle kept (the orbit's next angle),
+    and the index among the kept angles of each image that is itself kept,
+    -1 for the last angle and for images merged away.  The indices are
+    machine integers, so they cost no int object each."""
+    xs, images, nexts = [], [], array("i")
+    rank = array("i", [-1]) * (N + 1)
     for j in sorted(range(N), key=angles.__getitem__):
         x = angles[j]
         if xs and x - xs[-1] < TIE_RESOLUTION:
             continue
+        rank[j] = len(xs)
         xs.append(x)
         images.append(angles[j + 1])
-    return xs, images
+        nexts.append(j + 1)
+    return xs, images, array("i", map(rank.__getitem__, nexts))
 
 
 def rational_screen(value: float, bound: float,
@@ -342,7 +347,7 @@ def approximate_poincare_conjugacy(f: CircleHomeo, N: int, x0: float = 0.0
     # additionally tolerates the O(1/N) estimate error, which scrambles the
     # index order for k near N.  Ties at resolution 1e-12 are merged in
     # index order with a warning.
-    xs, images = _orbit_knots(angles, N)
+    xs, images, image_ranks = _orbit_knots(angles, N)
     del angles      # what the table needs lives on in xs and images
     targets = []
     t = 0.0
@@ -361,8 +366,10 @@ def approximate_poincare_conjugacy(f: CircleHomeo, N: int, x0: float = 0.0
     conj = PiecewiseMonotone(xs, ts, "linear", "periodic")
     if f.lift.approximate:
         images = [f(x) for x in xs]
+        image_ranks = [-1] * len(xs)
     defect = 0.0
-    for image, t in zip(images, ts):
-        defect = max(defect, circular_distance(
-            frac(conj._eval(image, DEFAULT_EPS)), frac(t + alpha)))
+    for image, r, t in zip(images, image_ranks, ts):
+        # conj is exactly ts[r] at its own knot xs[r]
+        h = ts[r] if r >= 0 else conj._eval(image, DEFAULT_EPS)
+        defect = max(defect, circular_distance(frac(h), frac(t + alpha)))
     return conj, defect

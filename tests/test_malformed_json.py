@@ -114,12 +114,13 @@ def test_witness_missing_phi_names_the_file(tmp_path, capsys):
                      f"circledyn: {witness}: missing field 'phi'\n")
 
 
-def test_node_payload_keeps_the_library_key_error(tmp_path, capsys):
-    # a node's parameters are read from a plain payload dict, so the
-    # missing-parameter KeyError of expr_from_jsonable reaches main as is
+def test_node_payload_missing_field_names_the_node(tmp_path, capsys):
+    # a node's parameters are read from a plain payload dict, and
+    # expr_from_jsonable names the node whose parameter is missing
     path = _write(tmp_path / "x.json", {"kind": "translate"})
     _assert_rejected(capsys, ["rotnum", "--lift", f"file:{path}"],
-                     "circledyn: 'amount'\n")
+                     "circledyn: malformed 'translate' node: missing field "
+                     "'amount'\n")
 
 
 @pytest.mark.parametrize("h_word", [[0.9, "0"], [0, 0.0], ["0", 0],
