@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from .circle import project, rotation, sine_lift
 from .errors import CircledynError
@@ -25,7 +24,8 @@ from .expr import (Affine, HomeoExpr, Identity, Translate,
                    expr_from_jsonable, expr_to_jsonable)
 from .groups import (CircleZnAction, ConjugacyWitness, ZnAction,
                      build_circle_action, build_line_action,
-                     check_word_budget, conjugacy_verdict, word_ball)
+                     check_word_budget, conjugacy_verdict, is_circle,
+                     word_ball)
 from .probes import (ProbeVerdict, fixed_points, orbit, transitivity_probe,
                      wandering_probe)
 from .quadirr import QuadIrrational, gl2z_equivalent, parse_quad_irrational
@@ -127,12 +127,11 @@ def parse_map_spec(spec: str) -> HomeoExpr:
     head, _, rest = spec.partition(":")
     if head == "translate":
         return Translate(float(rest))
-    if head == "affine":
-        a, b = (float(v) for v in rest.split(","))
-        return Affine(a, b)
-    if head == "sine":
-        t, amp = (float(v) for v in rest.split(","))
-        return sine_lift(t, amp)
+    if head in ("affine", "sine"):
+        values = [float(v) for v in rest.split(",")]
+        if len(values) != 2:
+            raise ValueError(f"bad map spec {spec!r}")
+        return Affine(*values) if head == "affine" else sine_lift(*values)
     if head == "file":
         return expr_from_jsonable(_load_json(rest))
     raise ValueError(f"unknown map spec kind {head!r}")
@@ -163,48 +162,39 @@ def action_to_bundle(action) -> dict:
             "generators": [expr_to_jsonable(g) for g in action.generators]}
 
 
-def _bundle_int(doc: dict, name: str) -> int:
-    """The bundle field doc[name], which must be a JSON integer."""
-    value = doc[name]
-    if type(value) is not int:
-        raise ValueError(f"bundle field {name!r} must be an integer, "
-                         f"got {value!r}")
-    return value
-
-
 def action_from_bundle(doc: dict):
     space = doc.get("space", "line")
     alpha = _alpha_from_jsonable(doc.get("alpha"))
     if space == "circle":
         if alpha is None:
             raise ValueError("circle bundles need exact alpha data")
-        g_word = doc["g_word"]
-        if not (isinstance(g_word, list)
-                and all(type(e) is int for e in g_word)):
-            raise ValueError(f"bundle field 'g_word' must be a list of "
-                             f"integers, got {g_word!r}")
-        action = build_circle_action(alpha, _bundle_int(doc, "n"),
-                                     _bundle_int(doc, "k"), g_word)
+        g_word = _field(doc, "g_word", "ints")
+        action = build_circle_action(alpha, _field(doc, "n", "int"),
+                                     _field(doc, "k", "int"), g_word)
         _check_rebuilt(doc, "generators",
                        [g.lift for g in action.generators], expr_from_jsonable)
         _check_rebuilt(doc, "marked_angles", list(action.marked_angles))
         return action
     if "generators" in doc:
         gens = tuple(expr_from_jsonable(g)
-                     for g in _list_field(doc, "generators"))
-        return ZnAction(n=_bundle_int(doc, "n"), generators=gens, alpha=alpha)
+                     for g in _field(doc, "generators"))
+        return ZnAction(n=_field(doc, "n", "int"), generators=gens, alpha=alpha)
     if alpha is None:
         raise ValueError("line bundles need either generators or alpha")
-    return build_line_action(alpha, _bundle_int(doc, "n"))
+    return build_line_action(alpha, _field(doc, "n", "int"))
 
 
-def _list_field(doc: dict, name: str, *, ints: bool = False) -> list:
-    """The field doc[name], which must be a JSON list, and with ints a list
-    of JSON integers."""
+def _field(doc: dict, name: str, shape: str = "list"):
+    """The field doc[name], which must be a JSON integer (shape "int"), a
+    JSON list ("list") or a list of JSON integers ("ints")."""
     value = doc[name]
-    if not isinstance(value, list):
+    if shape == "int":
+        if type(value) is not int:
+            raise ValueError(f"field {name!r} must be an integer, "
+                             f"got {value!r}")
+    elif not isinstance(value, list):
         raise ValueError(f"field {name!r} must be a list, got {value!r}")
-    if ints and not all(type(v) is int for v in value):
+    elif shape == "ints" and not all(type(v) is int for v in value):
         raise ValueError(f"field {name!r} must be a list of integers, "
                          f"got {value!r}")
     return value
@@ -215,7 +205,7 @@ def _check_rebuilt(doc: dict, name: str, rebuilt: list, load=lambda v: v):
     doc[name], if written, differs from the rebuilt action's."""
     if name not in doc:
         return
-    written = [load(v) for v in _list_field(doc, name)]
+    written = [load(v) for v in _field(doc, name)]
     for i in range(max(len(written), len(rebuilt))):
         if written[i:i + 1] != rebuilt[i:i + 1]:
             raise ValueError(f"circle bundle field {name}[{i}] does not match "
@@ -250,18 +240,17 @@ def _load_json(path: str) -> dict:
 
 # -- subcommand handlers ------------------------------------------------------
 
-def _cmd_rotnum(args) -> int:
+def _cmd_rotnum(args) -> tuple[str, int]:
     lift = parse_map_spec(args.lift)
     f = project(lift)
     est = rotation_number(f, args.N, args.x0)
     hit = rational_screen(est.value, est.error_bound, args.q_max)
     doc = est.as_jsonable()
     doc["rational_screen"] = None if hit is None else {"p": hit[0], "q": hit[1]}
-    _deliver(emit_json(doc), args.output)
-    return 0
+    return emit_json(doc), 0
 
 
-def _cmd_build_group(args) -> int:
+def _cmd_build_group(args) -> tuple[str, int]:
     alpha = parse_quad_irrational(args.alpha)
     if args.circle:
         if args.g is None:
@@ -274,11 +263,10 @@ def _cmd_build_group(args) -> int:
         raise ValueError(f"--{'k' if args.k is not None else 'g'} needs --circle")
     else:
         action = build_line_action(alpha, args.n)
-    _deliver(emit_json(action_to_bundle(action)), args.output)
-    return 0
+    return emit_json(action_to_bundle(action)), 0
 
 
-def _cmd_orbit(args) -> int:
+def _cmd_orbit(args) -> tuple[str, int]:
     action = action_from_bundle(_load_json(args.group))
     sample = orbit(action, args.x0, args.radius)
     if args.format == "csv":
@@ -286,7 +274,7 @@ def _cmd_orbit(args) -> int:
     elif args.format == "svg":
         if args.window:
             window = _parse_window(args.window)
-        elif getattr(action, "space", "line") == "circle":
+        elif is_circle(action):
             window = (0.0, 1.0)
         else:
             window = _point_range(sample.points)
@@ -295,8 +283,7 @@ def _cmd_orbit(args) -> int:
         text = emit_json({"base_point": sample.base_point,
                           "radius": sample.radius,
                           "points": list(sample.points)})
-    _deliver(text, args.output)
-    return 0
+    return text, 0
 
 
 def _parse_window(text: str) -> tuple[float, float]:
@@ -319,56 +306,49 @@ def _point_range(points) -> tuple[float, float]:
     return a, b
 
 
-def _cmd_probe_transitive(args) -> int:
+def _cmd_probe_transitive(args) -> tuple[str, int]:
     action = action_from_bundle(_load_json(args.group))
     window = _parse_window(args.window)
     report = transitivity_probe(action, args.x0, args.eps, args.radius, window)
-    _deliver(emit_json(report.as_jsonable()), args.output)
-    return 0
+    return emit_json(report.as_jsonable()), 0
 
 
-def _cmd_probe_wandering(args) -> int:
+def _cmd_probe_wandering(args) -> tuple[str, int]:
     action = action_from_bundle(_load_json(args.group))
     interval = _parse_window(args.interval)
     report = wandering_probe(action, interval, args.radius, args.tol)
-    _deliver(emit_json(report.as_jsonable()), args.output)
-    return 3 if report.verdict is ProbeVerdict.REFUTES else 0
+    code = 3 if report.verdict is ProbeVerdict.REFUTES else 0
+    return emit_json(report.as_jsonable()), code
 
 
-def _cmd_fixed_points(args) -> int:
+def _cmd_fixed_points(args) -> tuple[str, int]:
     f = project(parse_map_spec(args.lift))
     angles = fixed_points(f, args.tol)
-    _deliver(emit_json({"fixed_angles": angles, "tol": args.tol}), args.output)
-    return 0
+    return emit_json({"fixed_angles": angles, "tol": args.tol}), 0
 
 
-def _cmd_check_equiv(args) -> int:
+def _cmd_check_equiv(args) -> tuple[str, int]:
     x = parse_quad_irrational(args.x)
     y = parse_quad_irrational(args.y)
     equivalent, witness = gl2z_equivalent(x, y)
     doc = {"equivalent": equivalent,
            "witness": list(witness.as_tuple()) if witness else None}
-    _deliver(emit_json(doc), args.output)
-    return 0
+    return emit_json(doc), 0
 
 
-def _cmd_euler_cocycle(args) -> int:
+def _cmd_euler_cocycle(args) -> tuple[str, int]:
     action = action_from_bundle(_load_json(args.action))
-    if getattr(action, "space", "line") != "circle":
+    if not is_circle(action):
         raise ValueError("the Euler cocycle needs a circle action bundle")
     rank = len(action.generators)
     check_word_budget(rank, args.ball)
-    # The transplanted generators fix each marked point i/k and f moves it to
-    # (i+1)/k, so a word's normalized lift agrees on the marked points with
-    # the rotation by w_f/k, and c(v, w) = floor(F_v(F_w(0))) is read there.
-    elements = [(word, rotation(Fraction(word[-1], action.k)))
+    elements = [(word, rotation(action.word_rotation(word)))
                 for word in word_ball(rank, args.ball)]
     table = euler_cocycle_table(elements)
-    _deliver(emit_json(table.as_jsonable()), args.output)
-    return 0
+    return emit_json(table.as_jsonable()), 0
 
 
-def _cmd_conjugacy_verdict(args) -> int:
+def _cmd_conjugacy_verdict(args) -> tuple[str, int]:
     a = action_from_bundle(_load_json(args.a))
     b = action_from_bundle(_load_json(args.b))
     witness = None
@@ -376,12 +356,11 @@ def _cmd_conjugacy_verdict(args) -> int:
         doc = _load_json(args.witness)
         witness = ConjugacyWitness(
             phi=expr_from_jsonable(doc["phi"]),
-            h_word=tuple(_list_field(doc, "h_word", ints=True)),
+            h_word=tuple(_field(doc, "h_word", "ints")),
             psi=(expr_from_jsonable(doc["psi"])
                  if doc.get("psi") is not None else Identity()))
     report = conjugacy_verdict(a, b, witness, tol=args.tol)
-    _deliver(emit_json(report.as_jsonable()), args.output)
-    return 0
+    return emit_json(report.as_jsonable()), 0
 
 
 # -- parser -------------------------------------------------------------------
@@ -403,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=10000)
     p.add_argument("--x0", type=float, default=0.0)
     p.add_argument("--q-max", dest="q_max", type=int, default=1000)
-    p.add_argument("--output")
     p.set_defaults(handler=_cmd_rotnum)
 
     p = sub.add_parser("build-group", help="build a line or circle action")
@@ -414,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circle", action="store_true", default=None)
     p.add_argument("--k", type=int, help="marked points, with --circle (default 1)")
     p.add_argument("--g", help="comma-separated word for g, length n, with --circle")
-    p.add_argument("--output")
     p.set_defaults(handler=_cmd_build_group)
 
     p = sub.add_parser("orbit", help="enumerate an orbit sample")
@@ -423,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, default=5)
     p.add_argument("--format", choices=("json", "csv", "svg"), default="json")
     p.add_argument("--window", help="a,b (svg axis range)")
-    p.add_argument("--output")
     p.set_defaults(handler=_cmd_orbit)
 
     p = sub.add_parser("probe-transitive", help="orbit density coverage probe")
@@ -432,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.02)
     p.add_argument("--radius", type=int, default=50)
     p.add_argument("--window", default="0,1")
-    p.add_argument("--output")
     p.set_defaults(handler=_cmd_probe_transitive)
 
     p = sub.add_parser("probe-wandering", help="wandering interval probe")
@@ -440,26 +415,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", required=True, help="a,b")
     p.add_argument("--radius", type=int, default=10)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--output")
     p.set_defaults(handler=_cmd_probe_wandering)
 
     p = sub.add_parser("fixed-points", help="fixed angles of a circle map")
     p.add_argument("--lift", required=True)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--output")
     p.set_defaults(handler=_cmd_fixed_points)
 
     p = sub.add_parser("check-equiv", help="GL(2,Z) equivalence of irrationals")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--output")
     p.set_defaults(handler=_cmd_check_equiv)
 
     p = sub.add_parser("euler-cocycle", help="tabulate the Euler cocycle "
                                              "over a word ball")
     p.add_argument("--action", required=True, help="circle action bundle")
     p.add_argument("--ball", type=int, default=1)
-    p.add_argument("--output")
     p.set_defaults(handler=_cmd_euler_cocycle)
 
     p = sub.add_parser("conjugacy-verdict", help="decidable conjugacy criteria")
@@ -467,8 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, help="second circle action bundle")
     p.add_argument("--witness", help="witness JSON: {phi, h_word, psi?}")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(handler=_cmd_conjugacy_verdict, output=None)
+    p.set_defaults(handler=_cmd_conjugacy_verdict)
 
+    for name, p in sub.choices.items():
+        # each command's parser, for _apply_config's options
+        p.set_defaults(command_parser=p, output=None)
+        if name != "conjugacy-verdict":
+            p.add_argument("--output")
     return parser
 
 
@@ -481,9 +457,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv, args):
     overrides = _load_json(args.config)
     explicit = {a.lstrip("-").split("=")[0].replace("-", "_")
                 for a in argv if a.startswith("--")}
-    commands = next(a for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction))
-    options = {a.dest: a for a in commands.choices[args.command]._actions
+    options = {a.dest: a for a in args.command_parser._actions
                if a.option_strings and hasattr(args, a.dest)}
     extra, switched_off = [], {}
     for key, value in overrides.items():
@@ -507,7 +481,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _apply_config(parser, argv, args)
-        return args.handler(args)
+        text, code = args.handler(args)
+        _deliver(text, args.output)
+        return code
     except (CircledynError, ValueError, OSError, KeyError) as exc:
         print(f"circledyn: {exc}", file=sys.stderr)
         return 2

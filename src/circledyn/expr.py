@@ -445,7 +445,11 @@ class PiecewiseMonotone(HomeoExpr):
     """Monotone interpolant through strictly increasing breakpoints.
 
     interpolation: "cubic" (Fritsch-Carlson monotone cubic, the default) or
-    "linear".
+    "linear".  At the ends of a non-periodic cubic table the tangent is
+    the clamped three-point one, or 0 where its sign differs from the end
+    secant's (`_pchip_endpoint`); with a zero end tangent the table is
+    flat to rounding next to that knot, and its inverse there meets eps
+    for this float map, not for the exact cubic.
 
     extension: how the table extends to all of R.
       "linear"   - continue with the end-segment secant slopes.

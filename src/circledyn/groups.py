@@ -64,6 +64,19 @@ class CircleZnAction(Record):
     def alpha(self) -> QuadIrrational | None:
         return self.base.alpha
 
+    def word_rotation(self, word) -> Fraction:
+        """The exact rotation number (w_f mod k)/k of a word w, whose last
+        entry w_f is its exponent of f.  The transplanted generators fix
+        each marked point i/k and f moves it to (i+1)/k, so the word's
+        normalized lift agrees on the marked points with the rotation by
+        w_f/k, and c(v, w) = floor(F_v(F_w(0))) is read there."""
+        return Fraction(word[-1] % self.k, self.k)
+
+
+def is_circle(action) -> bool:
+    """Whether action acts on the circle (its space is "circle")."""
+    return getattr(action, "space", "line") == "circle"
+
 
 def build_line_action(alpha: QuadIrrational, n: int) -> ZnAction:
     """The inductive line construction over alpha in (0, 1), n >= 2."""
@@ -219,10 +232,10 @@ def conjugacy_verdict(a: CircleZnAction, b: CircleZnAction,
     psi g' psi^{-1} = phi g h^k phi^{-1} on the witness grid, and holds
     only when every residual there is finite and at most tol.  Without a
     witness the affine-orbit condition stays undecided.  A tol that is
-    negative or NaN raises ValueError.
+    negative, infinite or NaN raises ValueError.
     """
-    if not tol >= 0.0:
-        raise ValueError("tol must be nonnegative")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("tol must be nonnegative and finite")
     if a.n != b.n or a.k != b.k:
         return ConjugacyReport(Verdict.NOT_CONJUGATE,
                                f"(n, k) = ({a.n}, {a.k}) differs from ({b.n}, {b.k})")

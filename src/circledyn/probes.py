@@ -19,7 +19,8 @@ from .circle import CircleHomeo, frac, merge_circular, merge_sorted
 from .errors import NonIsolatedFixedPointsWarning
 from .expr import (BOUNDARY_DELTA, DEFAULT_EPS, UNIT_EDGES, CellHat,
                    HomeoExpr, Identity, Translate, evaluate, inverse)
-from .groups import check_word_budget, word_ball, word_of, word_to_homeo
+from .groups import (check_word_budget, is_circle, word_ball, word_of,
+                     word_to_homeo)
 
 DEDUP_RESOLUTION = 1e-12
 #: points of an interval at which a word is checked to be the identity
@@ -273,10 +274,6 @@ class ProbeReport(Record):
         return doc
 
 
-def _is_circle(action) -> bool:
-    return getattr(action, "space", "line") == "circle"
-
-
 def orbit(action, x0: float, radius: int) -> OrbitSample:
     """Evaluate every word in the sup-norm ball at x0.
 
@@ -290,7 +287,7 @@ def orbit(action, x0: float, radius: int) -> OrbitSample:
     are that close across 0.
     """
     values = _word_values(action, x0, radius)
-    if _is_circle(action):
+    if is_circle(action):
         points = merge_circular(map(frac, values), DEDUP_RESOLUTION)
     else:
         points = merge_sorted(values, DEDUP_RESOLUTION)
@@ -306,8 +303,8 @@ def transitivity_probe(action, x0: float, eps: float, radius: int,
     memory is bounded by the orbit, whatever the number of bins; a window
     of more eps-bins than a float can count raises ValueError.
     """
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     a, b = float(window[0]), float(window[1])
     if not b > a:
         raise ValueError("window must be a nonempty interval")
@@ -381,8 +378,8 @@ def wandering_probe(action, interval: tuple[float, float], radius: int,
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError("interval must satisfy a < b")
-    if not tol >= 0.0:
-        raise ValueError("tol must be nonnegative")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("tol must be nonnegative and finite")
     size = check_word_budget(len(action.generators), radius)
     for x in (a, b):
         evaluate(Identity(), x, DEFAULT_EPS)    # rejects a non-finite endpoint
@@ -405,8 +402,8 @@ def fixed_points(f: CircleHomeo, tol: float = 1e-9) -> list[float]:
     integer level m the displacement attains.  A detected plateau (interval
     of fixed points) emits NonIsolatedFixedPointsWarning and is skipped.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     lift = f.lift
     xs = [j / FIXED_POINT_GRID for j in range(FIXED_POINT_GRID + 1)]
     disp = [evaluate(lift, x, DEFAULT_EPS) - x for x in xs]

@@ -1,12 +1,13 @@
 """transitivity_probe keeps only the bins its orbit hits, so a tiny eps costs
 no memory, and a window of more bins than a float can count is rejected;
-conjugacy_verdict rejects a NaN or negative tol and never witnesses a
-conjugacy from a non-finite residual.  Unusable values are ValueError,
-CLI exit code 2."""
+conjugacy_verdict rejects a NaN, negative or infinite tol and never
+witnesses a conjugacy from a non-finite residual.  Unusable values are
+ValueError, CLI exit code 2."""
 
 import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -90,7 +91,7 @@ def test_identity_witness_is_witnessed_at_any_usable_tol():
         assert report.residual == 0.0
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1e-9, -math.inf])
+@pytest.mark.parametrize("tol", [math.nan, -1e-9, -math.inf, math.inf])
 def test_conjugacy_verdict_rejects_unusable_tol(tol):
     # tol=nan turned the identity witness into a failed one
     with pytest.raises(ValueError, match="tol must be nonnegative"):
@@ -102,7 +103,7 @@ def test_non_finite_residual_is_never_witnessed():
     # NaN; the max over the residuals skipped it and reported a witness
     huge = Affine(1e308, -0.9e308)
     witness = ConjugacyWitness(phi=huge, h_word=(0, 0), psi=huge)
-    for tol in (1e-9, math.inf):
+    for tol in (1e-9, sys.float_info.max):
         report = conjugacy_verdict(C22, C22, witness, tol=tol)
         assert report.verdict is Verdict.UNDECIDED_NEEDS_WITNESS
         assert "non-finite" in report.reason
@@ -126,7 +127,7 @@ def _witness_file(tmp_path, phi):
 
 
 @pytest.mark.parametrize("tol,code", [("1e-9", 0), ("0", 0), ("nan", 2),
-                                      ("-1", 2)])
+                                      ("-1", 2), ("inf", 2)])
 def test_cli_conjugacy_verdict_tol(c22, tmp_path, capsys, tol, code):
     witness = _witness_file(tmp_path, Identity())
     assert main(["conjugacy-verdict", "--a", c22, "--b", c22,

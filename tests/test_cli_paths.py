@@ -1,5 +1,5 @@
 """CLI paths the other tests leave out: the default JSON orbit, the circle
-SVG window, three validation errors, the mode of --output files, and a
+SVG window, five validation errors, the mode of --output files, and a
 fixed-point bisection that runs down to adjacent floats."""
 
 import json
@@ -61,6 +61,9 @@ def test_euler_cocycle_of_a_line_bundle_exits_2(bundles, capsys):
      "--circle needs --g"),
     (["rotnum", "--lift", "translate:0.3", "--N", "0"],
      "N must be at least 1"),
+    (["rotnum", "--lift", "sine:0.3"], "circledyn: bad map spec 'sine:0.3'\n"),
+    (["rotnum", "--lift", "affine:1,2,3"],
+     "circledyn: bad map spec 'affine:1,2,3'\n"),
 ])
 def test_validation_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -125,6 +125,36 @@ def test_no_module_calls_exec_eval_or_compile():
     assert calls == []
 
 
+def _named(node) -> str | None:
+    """The name a Name, Attribute, import alias or string node refers to."""
+    for field in ("id", "attr", "name", "value"):
+        value = getattr(node, field, None)
+        if isinstance(value, str):
+            return value
+    return None
+
+
+def test_only_cli_main_delivers_output():
+    # the command handlers return (text, exit code), and main writes it
+    refs = [f"{path.name}:{node.lineno}" for path in MODULES
+            for node in ast.walk(_tree(path))
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and _named(node) == "_deliver"]
+    main = next(node for node in _tree(PACKAGE / "cli.py").body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    in_main = [node for node in ast.walk(main) if isinstance(node, ast.Call)
+               and _named(node.func) == "_deliver"]
+    assert len(refs) == len(in_main) == 1, refs
+
+
+def test_no_module_refers_to_the_private_subparsers_action():
+    # build_parser hands each command's parser to _apply_config itself
+    refs = [f"{path.name}:{getattr(node, 'lineno', '?')}" for path in MODULES
+            for node in ast.walk(_tree(path))
+            if "_SubParsersAction" in (_named(node) or "")]
+    assert refs == []
+
+
 # -- start-up and the value records -------------------------------------------
 
 def test_no_module_imports_dataclasses_or_typing():

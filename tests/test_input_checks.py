@@ -14,7 +14,7 @@ from circledyn.cli import main
 ALPHA = parse_quad_irrational("sqrt(2)-1")
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1e-9])
+@pytest.mark.parametrize("tol", [math.nan, -1e-9, math.inf])
 def test_wandering_probe_rejects_unusable_tol(tol):
     action = build_line_action(ALPHA, 2)
     # with tol=nan every word passed as the identity on the interval, so
@@ -30,7 +30,7 @@ def test_wandering_probe_accepts_zero_tol():
         == "REFUTES"
 
 
-@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
 def test_fixed_points_rejects_unusable_tol(tol):
     with pytest.raises(ValueError, match="tol must be positive"):
         fixed_points(project(sine_lift(0.0, 0.1)), tol=tol)
@@ -77,6 +77,10 @@ def g2(tmp_path, capsys):
     (["probe-transitive", "--eps", "0.1", "--window", "nan,1"],
      "two finite numbers"),
     (["probe-wandering", "--interval", "0.2,0.4,0.6"], "two finite numbers"),
+    (["probe-wandering", "--interval", "0.2,0.4", "--radius", "3",
+      "--tol", "inf"], "tol must be nonnegative"),
+    (["probe-transitive", "--eps", "inf", "--radius", "3"],
+     "eps must be positive"),
 ])
 def test_cli_rejects_unusable_values(g2, capsys, argv, message):
     assert main(argv[:1] + ["--group", g2] + argv[1:]) == 2
