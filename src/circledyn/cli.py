@@ -450,15 +450,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(parser: argparse.ArgumentParser, argv, args):
     """Parse again with the --config file's values appended as flags, so they
-    are converted and checked as flag text is.  Explicit flags win, a false
-    switch is set off, and null values and keys naming no option are ignored."""
+    are converted and checked as flag text is.  Explicit flags win, however
+    abbreviated, a false switch is set off, and null values and keys naming
+    no option are ignored."""
     if not args.config:
         return args
     overrides = _load_json(args.config)
-    explicit = {a.lstrip("-").split("=")[0].replace("-", "_")
-                for a in argv if a.startswith("--")}
     options = {a.dest: a for a in args.command_parser._actions
                if a.option_strings and hasattr(args, a.dest)}
+    # the flags given, however argparse matched them: argv parsed again
+    # with every option defaulting to a marker that only a given flag
+    # replaces
+    marker = object()
+    defaults = {action: action.default for action in options.values()}
+    for action in defaults:
+        action.default = marker
+    given = vars(parser.parse_args(argv))
+    for action, default in defaults.items():
+        action.default = default
+    explicit = {dest for dest in options if given[dest] is not marker}
     extra, switched_off = [], {}
     for key, value in overrides.items():
         action = options.get(key.replace("-", "_"))

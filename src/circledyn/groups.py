@@ -107,12 +107,17 @@ def _ball_size(rank: int, radius: int) -> int:
 def check_word_budget(rank: int, radius: int) -> int:
     """The number of words of sup-norm at most radius.
 
-    Raises ValueError for a negative radius and BudgetExceededError for a
-    ball larger than the word budget (CIRCLEDYN_WORD_BUDGET, default 10**6).
+    Raises ValueError for a negative radius or a budget that is not an
+    integer, and BudgetExceededError for a ball larger than the word budget
+    (CIRCLEDYN_WORD_BUDGET, default 10**6).
     """
     count = _ball_size(rank, radius)
     raw = os.environ.get(BUDGET_ENV_VAR)
-    budget = int(raw) if raw else DEFAULT_WORD_BUDGET
+    try:
+        budget = int(raw) if raw else DEFAULT_WORD_BUDGET
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, "
+                         f"not {raw!r}") from None
     if count > budget:
         raise BudgetExceededError(
             f"word ball of size {count} exceeds the budget {budget}")
@@ -231,9 +236,11 @@ def conjugacy_verdict(a: CircleZnAction, b: CircleZnAction,
     supplied witness is checked against the affine-orbit equation
     psi g' psi^{-1} = phi g h^k phi^{-1} on the witness grid, and holds
     only when every residual there is finite and at most tol.  Without a
-    witness the affine-orbit condition stays undecided.  A tol that is
-    negative, infinite or NaN raises ValueError.
+    witness the affine-orbit condition stays undecided.  A line action, or
+    a tol that is negative, infinite or NaN, raises ValueError.
     """
+    if not (is_circle(a) and is_circle(b)):
+        raise ValueError("the conjugacy verdict needs two circle actions")
     if not 0.0 <= tol < math.inf:
         raise ValueError("tol must be nonnegative and finite")
     if a.n != b.n or a.k != b.k:

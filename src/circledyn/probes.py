@@ -43,7 +43,8 @@ def _word_values(action, x0: float, radius: int) -> array:
     level adds only the rounding of hbar and of the shift; only the base
     point is pulled back through tan, once per level, as `CellHat._eval`
     pulls back each word's argument.  Any other level, a circle action's
-    among them, costs one evaluation per non-zero word (`_stepped_values`).
+    among them, is stepped by the same recursion, one evaluation per
+    non-zero word.
     """
     check_word_budget(len(action.generators), radius)
     # evaluate rejects a non-finite x0
@@ -52,9 +53,9 @@ def _word_values(action, x0: float, radius: int) -> array:
 
 
 def _level_shape(generators) -> str | None:
-    """How `_level_values` fills a level of these generators:
-    "translations", "cells" (the unit translation followed by unit-cell
-    `CellHat`s) or None (stepped, `_stepped_values`)."""
+    """How `_level_values` fills a level of these generators in closed
+    form: "translations", "cells" (the unit translation followed by
+    unit-cell `CellHat`s) or None (the level is stepped)."""
     head, rest = generators[0], generators[1:]
     if all(type(g) is Translate for g in generators):
         return "translations"
@@ -74,8 +75,10 @@ def _closed_form(generators) -> bool:
     return shape == "translations"
 
 
-def _level_values(generators, x: float, radius: int) -> array:
-    """g_v(x) over the radius ball of these generators, in code order.
+def _level_values(generators, x: float, radius: int,
+                  widen: float = 0.0) -> array:
+    """g_v(x) over the radius ball of these generators, in code order: the
+    one recursion that fills every word ball.
 
     v_1 is the most significant digit of the code, so the values are the
     first generator's shifts j, each over the ball of the others:
@@ -85,15 +88,19 @@ def _level_values(generators, x: float, radius: int) -> array:
         back to y = hbar^-1(u) as `CellHat._eval` does it, the inners'
         ball is filled at y and pushed forward to m + hbar(.); an x with
         u not in (0, 1) is fixed by every cell transplant;
-      * anything else: the first generator stepped over the others' ball
-        (`_stepped_values`).
+      * anything else is stepped: each point of the others' ball moves
+        from shift j - 1 to j by one evaluation of g_1 (its lift, for a
+        circle action), or of its inverse for j < 0, at DEFAULT_EPS.  That
+        is one evaluation per non-zero word, in the order of its tree.
+
+    A non-zero widen gives bounds instead (`_ball_bounds`): every level is
+    stepped and each step moves its result by widen, -eps for the images
+    of a lower endpoint and +eps for an upper one; the maps are
+    increasing, so these bound the exact images.
     """
     head, rest = generators[0], generators[1:]
-    shape = _level_shape(generators)
-    if shape == "translations":
-        cell = _level_values(rest, x, radius).tolist() if rest else [x]
-        shift = float(head.amount)
-    elif shape == "cells":
+    shape = None if widen else _level_shape(generators)
+    if shape == "cells":
         m = math.floor(x)
         u = x - m
         if 0.0 < u < 1.0:
@@ -110,7 +117,16 @@ def _level_values(generators, x: float, radius: int) -> array:
             cell = [x] * (2 * radius + 1) ** len(rest)
         shift = 1.0
     else:
-        return _stepped_values(generators, x, radius)
+        cell = _level_values(rest, x, radius, widen).tolist() if rest else [x]
+        if shape is None:
+            h = head.lift if isinstance(head, CircleHomeo) else head
+            up, down = [cell], [cell]    # shifts 0, 1, ... and 0, -1, ...
+            for rows, step in ((up, h), (down, inverse(h))):
+                for _ in range(radius):
+                    row = [evaluate(step, y, DEFAULT_EPS) for y in rows[-1]]
+                    rows.append([y + widen for y in row] if widen else row)
+            return array("d", [y for row in down[:0:-1] + up for y in row])
+        shift = float(head.amount)
     values = array("d")
     for j in range(-radius, radius + 1):
         s = j * shift
@@ -118,53 +134,23 @@ def _level_values(generators, x: float, radius: int) -> array:
     return values
 
 
-def _stepped_values(generators, x: float, radius: int,
-                    widen: float = 0.0) -> array:
-    """g_v(x) over the radius ball, in code order, with the first generator
-    (its lift, for a circle action) stepped over the others' ball at x
-    from `_level_values`: each point moves from shift j - 1 to j by one
-    evaluation of g_1, or of its inverse for j < 0, at DEFAULT_EPS.  That
-    is one evaluation per non-zero word, in the order of the word's tree.
-
-    A non-zero widen gives bounds instead: every level is stepped and each
-    step moves its result by widen, -eps for the images of a lower endpoint
-    and +eps for an upper one; the maps are increasing, so these bound the
-    exact images.
-    """
-    head, rest = generators[0], generators[1:]
-    if not rest:
-        cell = [x]
-    elif widen:
-        cell = _stepped_values(rest, x, radius, widen).tolist()
-    else:
-        cell = _level_values(rest, x, radius).tolist()
-    h = head.lift if isinstance(head, CircleHomeo) else head
-    eps = DEFAULT_EPS
-    up, down = [cell], [cell]    # shifts 0, 1, ..., radius and 0, -1, ...
-    for rows, step in ((up, h), (down, inverse(h))):
-        for _ in range(radius):
-            row = [evaluate(step, y, eps) for y in rows[-1]]
-            rows.append([y + widen for y in row] if widen else row)
-    return array("d", [y for row in down[:0:-1] + up for y in row])
-
-
 #: the wandering screen bounds the balls of these radii before the full one,
 #: so an interval that the first shells refute never fills the whole ball
 SCREEN_RADII = (1, 2)
-#: the level bounds' margin: this many units in the last place of the
+#: the closed-form bounds' margin: this many units in the last place of the
 #: ball's scale per level of the recursion, on top of DEFAULT_EPS
 LEVEL_ULPS = 8
 
 
-def _level_bounds(generators, a: float, b: float, radius: int):
-    """(lo, hi) in code order for generators that `_level_values` fills
-    in closed form (the line construction, translation-only actions):
-    lo[c] is a lower bound of g_v(a) and hi[c] an upper bound of g_v(b),
-    with eps to spare, for the word v coded c.
+def _ball_bounds(generators, a: float, b: float, radius: int):
+    """(lo, hi) in code order: lo[c] is a lower bound of g_v(a) and hi[c]
+    an upper bound of g_v(b), with eps = DEFAULT_EPS to spare, for the word
+    v coded c, so lo_v <= evaluate(g_v, a, eps) - eps <= g_v(a) and the
+    mirror for hi_v.
 
-    That is, lo_v <= evaluate(g_v, a, eps) - eps <= g_v(a) and the mirror
-    for hi_v, where eps = DEFAULT_EPS.  lo_v = level_a[v] - m and
-    hi_v = level_b[v] + m with m = eps + LEVEL_ULPS * rank * ulp(scale),
+    Generators that `_level_values` fills in closed form (`_closed_form`:
+    the line construction, translation-only actions) are bounded by the
+    values at a and at b moved by m = eps + LEVEL_ULPS * rank * ulp(scale),
     scale the largest of 1 and the values' magnitudes.  The margin covers:
       * eps, so that lo_v lies below evaluate - eps as well, which the
         error model places below the exact image;
@@ -176,41 +162,34 @@ def _level_bounds(generators, a: float, b: float, radius: int):
         lies a few ulps per level from the word's own tree (at most 2.2
         ulps per level on the test balls);
       * the rounding of the subtraction itself.
+    Any other generators, a circle action's lifts among them, are bounded
+    by stepped values widened by -eps per step at a and +eps at b.
     """
+    eps = DEFAULT_EPS
+    if not _closed_form(generators):
+        return (_level_values(generators, a, radius, -eps),
+                _level_values(generators, b, radius, eps))
     at_a = _level_values(generators, a, radius)
     at_b = _level_values(generators, b, radius)
     # g_v(a) < g_v(b), so every |value| is at most -min(at_a) or max(at_b)
     scale = max(1.0, -min(at_a), max(at_b))
-    m = DEFAULT_EPS + LEVEL_ULPS * len(generators) * math.ulp(scale)
+    m = eps + LEVEL_ULPS * len(generators) * math.ulp(scale)
     return [x - m for x in at_a], [x + m for x in at_b]
-
-
-def _stepped_bounds(generators, a: float, b: float, radius: int):
-    """(lo, hi) in code order for any generators: `_stepped_values` at a
-    widened by -eps per step and at b by +eps, eps = DEFAULT_EPS, so that
-    lo_v <= g_v(a) and g_v(b) <= hi_v on the exact images."""
-    eps = DEFAULT_EPS
-    return (_stepped_values(generators, a, radius, -eps),
-            _stepped_values(generators, b, radius, eps))
 
 
 def _candidates(generators, a: float, b: float, radius: int):
     """The words of the radius ball but the zero word, in `word_ball` order,
-    whose bounds lo_v <= g_v(a) and g_v(b) <= hi_v on the exact images do
-    not lie eps clear of (a, b).  Direct evaluation lies within eps of the
-    exact image, so it could not overlap (a, b) for any other word.
-
-    The balls of SCREEN_RADII are bounded first and then the full ball,
-    each stage adding its new shells' candidates.  The line construction
-    and translation-only actions are bounded by `_level_bounds`, any other
-    generators, a circle action's lifts among them, by `_stepped_bounds`.
+    whose bounds lo_v <= g_v(a) and g_v(b) <= hi_v on the exact images
+    (`_ball_bounds`) do not lie eps clear of (a, b).  Direct evaluation
+    lies within eps of the exact image, so it could not overlap (a, b) for
+    any other word.  The balls of SCREEN_RADII are bounded first and then
+    the full ball, each stage adding its new shells' candidates.
     """
     eps = DEFAULT_EPS
     rank = len(generators)
-    bounds = _level_bounds if _closed_form(generators) else _stepped_bounds
     screened = 0
     for stage in sorted({min(r, radius) for r in SCREEN_RADII} | {radius}):
-        lo, hi = bounds(generators, a, b, stage)
+        lo, hi = _ball_bounds(generators, a, b, stage)
         codes = [code for code, (low, high) in enumerate(zip(lo, hi))
                  if low - eps < b and high + eps > a]
         words = [v for v in (word_of(c, rank, stage) for c in codes)
@@ -364,16 +343,17 @@ def wandering_probe(action, interval: tuple[float, float], radius: int,
     coverage is the word's position in `word_ball` order over the ball size.
 
     Words are screened on a lower bound of g(a) and an upper bound of g(b)
-    (`_candidates`), filled one generator at a time as `orbit` fills the
-    ball: for the line construction and translation-only actions the
-    level-recursive values at a and at b, widened by eps and LEVEL_ULPS
-    ulps per level, for other actions stepped values widened by eps per
-    step.  The balls of radius 1 and 2 are bounded before the full ball,
-    so an interval refuted in the first shells never fills it.  A word
-    whose bounds lie eps clear of the interval could not
-    overlap it under direct evaluation either; only the other words are
-    evaluated directly from their trees, in `word_ball` order, and a probe
-    with no such word answers SUPPORTS without enumerating the ball.
+    (`_candidates`), which `_ball_bounds` fills one generator at a time by
+    the recursion that fills `orbit`'s ball: for the line construction
+    and translation-only actions the closed-form values at a and at b
+    widened by eps and LEVEL_ULPS ulps per level, for other actions
+    stepped values widened by eps per step.  The balls of radius 1 and 2
+    are bounded before the full ball, so an interval refuted in the first
+    shells never fills it.  A word whose bounds lie eps clear of the
+    interval could not overlap it under direct evaluation either; only the
+    other words are evaluated directly from their trees, in `word_ball`
+    order, and a probe with no such word answers SUPPORTS without
+    enumerating the ball.
     """
     a, b = float(interval[0]), float(interval[1])
     if not a < b:

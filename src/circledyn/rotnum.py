@@ -347,11 +347,9 @@ def approximate_poincare_conjugacy(f: CircleHomeo, N: int, x0: float = 0.0
     # index order with a warning.
     xs, images, image_ranks = _orbit_knots(angles, N)
     del angles      # what the table needs lives on in xs and images
-    targets = []
-    t = 0.0
-    for _ in range(N):
-        targets.append(t)
-        t = frac(t + alpha)
+    # the reduced orbit of 0 under the rotation by alpha
+    targets = [0.0]
+    Translate(alpha)._orbit(0.0, N - 1, DEFAULT_EPS, targets)
     ts = merge_sorted(targets, TIE_RESOLUTION)
     for what, kept in (("orbit", xs), ("target", ts)):
         if len(kept) < N:

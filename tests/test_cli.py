@@ -218,6 +218,29 @@ def test_bad_config_values_exit_2(tmp_path, capsys, config, flag):
     assert f"argument {flag}: invalid" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("flags", [["--rad", "1"], ["--radi=1"],
+                                   ["--radius", "1"]])
+def test_abbreviated_flags_win_over_the_config(tmp_path, capsys, flags):
+    bundle = tmp_path / "g2.json"
+    assert run(capsys, "build-group", "--alpha", "sqrt(2)-1", "--n", "2",
+               "--output", str(bundle))[0] == 0
+    argv = ["orbit", "--group", str(bundle), "--format", "csv"]
+    code, want, _ = run(capsys, *argv, "--radius", "1")
+    assert code == 0 and len(want.splitlines()) == 9
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"radius": 0}))
+    assert run(capsys, "--config", str(cfg), *argv, *flags) == (0, want, "")
+
+
+def test_abbreviated_switch_wins_over_the_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"circle": False}))
+    code, out, _ = run(capsys, "--config", str(cfg), "build-group",
+                       "--alpha", "sqrt(2)-1", "--n", "2", "--circ",
+                       "--k", "2", "--g", "1,0")
+    assert code == 0 and json.loads(out)["space"] == "circle"
+
 def test_config_switch_takes_a_boolean(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     argv = ["--config", str(cfg), "build-group", "--alpha", "sqrt(2)-1",

@@ -56,6 +56,18 @@ def test_euler_cocycle_of_a_line_bundle_exits_2(bundles, capsys):
     assert "the Euler cocycle needs a circle action bundle" in err
 
 
+
+@pytest.mark.parametrize("line_first", [True, False])
+def test_conjugacy_verdict_of_a_line_bundle_exits_2(bundles, capsys,
+                                                    line_first):
+    g2, c22 = bundles
+    a, b = (g2, c22) if line_first else (c22, g2)
+    code, out, err = run(capsys, "conjugacy-verdict", "--a", str(a),
+                         "--b", str(b))
+    assert (code, out) == (2, "")
+    assert err == ("circledyn: the conjugacy verdict needs two circle "
+                   "actions\n")
+
 @pytest.mark.parametrize("argv, message", [
     (["build-group", "--alpha", "sqrt(2)-1", "--n", "2", "--circle"],
      "--circle needs --g"),

@@ -184,6 +184,15 @@ def test_verdict_identity_witness():
     assert rep.residual == pytest.approx(0.0, abs=1e-12)
 
 
+
+@pytest.mark.parametrize("line_first", [True, False])
+def test_verdict_rejects_a_line_action(line_first):
+    circle = build_circle_action(ALPHA, 2, 2, (1, 0))
+    line = build_line_action(ALPHA, 2)
+    pair = (line, circle) if line_first else (circle, line)
+    with pytest.raises(ValueError, match="needs two circle actions"):
+        conjugacy_verdict(*pair)
+
 def test_verdict_needs_witness_when_undecided():
     a = build_circle_action(ALPHA, 2, 2, (1, 0))
     beta = mobius_apply(Gl2zMatrix(0, 1, 1, 1), ALPHA)   # equivalent, in (0,1)

@@ -105,13 +105,14 @@ def test_off_shape_actions_take_the_step_engine(name, monkeypatch):
     gens = OFF_SHAPE[name]
     action = ZnAction(n=len(gens), generators=gens)
     stepped = []
-    engine = probes._stepped_values
+    engine = probes._level_values
 
-    def spy(generators, x, radius):
-        stepped.append(len(generators))
-        return engine(generators, x, radius)
+    def spy(generators, x, radius, widen=0.0):
+        if probes._level_shape(generators) is None:
+            stepped.append(len(generators))
+        return engine(generators, x, radius, widen)
 
-    monkeypatch.setattr(probes, "_stepped_values", spy)
+    monkeypatch.setattr(probes, "_level_values", spy)
     for x0 in (0.37, -1.8, 2.0):
         values = _word_values(action, x0, 2)
         direct = _direct(action, x0, 2)

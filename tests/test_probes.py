@@ -63,6 +63,15 @@ def test_budget_env_override(monkeypatch):
         orbit(act, 0.0, 2)
 
 
+
+@pytest.mark.parametrize("raw", ["abc", "1e6"])
+def test_bad_budget_env_names_the_variable(monkeypatch, raw):
+    monkeypatch.setenv("CIRCLEDYN_WORD_BUDGET", raw)
+    with pytest.raises(ValueError) as exc:
+        orbit(build_line_action(ALPHA, 2), 0.0, 1)
+    assert str(exc.value) == (
+        f"CIRCLEDYN_WORD_BUDGET must be an integer, not {raw!r}")
+
 def test_transitivity_dense_orbit():
     act = build_line_action(ALPHA, 2)
     report = transitivity_probe(act, 0.0, 0.02, 50, (0.0, 1.0))

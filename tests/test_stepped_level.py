@@ -84,7 +84,7 @@ def test_stepped_bounds_hold_for_every_word(spec):
     radius = 2 if rank == 3 else 1
     eps = DEFAULT_EPS
     for a, b in [(0.3, 0.5), (-1.2, -1.2 + 1e-6), (1 - 1e-12, 1.25)]:
-        lo, hi = probes._stepped_bounds(action.generators, a, b, radius)
+        lo, hi = probes._ball_bounds(action.generators, a, b, radius)
         for code, v in enumerate(_words(rank, radius)):
             g = word_to_homeo(action, v)
             assert lo[code] - eps <= evaluate(g, a, eps), (v, a)
@@ -93,13 +93,13 @@ def test_stepped_bounds_hold_for_every_word(spec):
 
 def test_circle_screen_bounds_the_first_ball_first(monkeypatch):
     radii = []
-    bounds = probes._stepped_bounds
+    bounds = probes._ball_bounds
 
     def spy(generators, a, b, radius):
         radii.append(radius)
         return bounds(generators, a, b, radius)
 
-    monkeypatch.setattr(probes, "_stepped_bounds", spy)
+    monkeypatch.setattr(probes, "_ball_bounds", spy)
     action = build_circle_action(ALPHA, 2, 2, (1, 0))
     assert wandering_probe(action, (0.3, 0.5), 4).verdict is \
         ProbeVerdict.REFUTES

@@ -20,7 +20,7 @@ from circledyn import probes
 from circledyn.errors import DomainError
 from circledyn.expr import DEFAULT_EPS
 from circledyn.groups import check_word_budget
-from circledyn.probes import ProbeReport, ProbeVerdict, _level_bounds
+from circledyn.probes import ProbeReport, ProbeVerdict, _ball_bounds
 
 ALPHA = parse_quad_irrational("sqrt(2)-1")
 AF = ALPHA.value(1e-18)
@@ -47,7 +47,7 @@ def _endpoint_intervals(seed):
 
 def _assert_bounds_hold(action, radius, interval):
     a, b = interval
-    lo, hi = _level_bounds(action.generators, a, b, radius)
+    lo, hi = _ball_bounds(action.generators, a, b, radius)
     span = range(-radius, radius + 1)
     words = itertools.product(span, repeat=len(action.generators))
     for code, v in enumerate(words):
@@ -196,13 +196,13 @@ def test_narrow_probe_on_n4_radius5_evaluates_no_word(monkeypatch):
 
 def test_refuted_interval_bounds_only_the_first_ball(monkeypatch):
     radii = []
-    bounds = probes._level_bounds
+    bounds = probes._ball_bounds
 
     def spy(generators, a, b, radius):
         radii.append(radius)
         return bounds(generators, a, b, radius)
 
-    monkeypatch.setattr(probes, "_level_bounds", spy)
+    monkeypatch.setattr(probes, "_ball_bounds", spy)
     report = wandering_probe(build_line_action(ALPHA, 4), (0.3, 0.5), 5)
     assert report.verdict is ProbeVerdict.REFUTES
     assert radii == [1]
