@@ -15,12 +15,17 @@ instance.  The base's methods are written once for every class, read only
 - `==` (same class only, otherwise `NotImplemented`), `hash` and `repr`
   (`Name(field=value, ...)`) of the field tuple;
 - copying and pickling, which rebuild through the constructor;
+- `as_jsonable()`, a dict of the fields by name, in order: an `Enum`
+  member is written as its value, a field that is None is left out, and
+  any other value is kept as it is;
 
 and it refuses assignment and deletion with `AttributeError`.  A missing,
 unknown or repeated field, or too many positional values, is a
 `TypeError`.  A subclass may write its own `__init__` that normalizes its
 inputs and hands the fields to `Record.__init__`.
 """
+
+from enum import Enum
 
 
 class Record:
@@ -89,6 +94,11 @@ class Record:
         fields = ", ".join(f"{name}={value!r}" for name, value
                            in zip(self.__slots__, self._values()))
         return f"{type(self).__qualname__}({fields})"
+
+    def as_jsonable(self) -> dict:
+        return {name: value.value if isinstance(value, Enum) else value
+                for name, value in zip(self.__slots__, self._values())
+                if value is not None}
 
     def __reduce__(self):
         return type(self), self._values()

@@ -117,6 +117,15 @@ class CochainTable(Record):
             raise MissingFaceError(f"face {key!r} is not tabulated") from None
 
 
+def _tabulate(ids: list, degree: int, flavor: str, entry) -> CochainTable:
+    """The table of that degree and flavor whose value at each tuple of
+    the identifiers ids is entry(tuple)."""
+    arity = degree + 1 if flavor == "homogeneous" else degree
+    tuples = itertools.product(ids, repeat=arity)
+    return CochainTable(degree=degree, flavor=flavor,
+                        entries={t: entry(t) for t in tuples})
+
+
 def coboundary(table: CochainTable) -> CochainTable:
     """The alternating-sum coboundary of a homogeneous table, tabulated over
     all (k+2)-tuples of the table's element universe."""
@@ -126,14 +135,8 @@ def coboundary(table: CochainTable) -> CochainTable:
     k = table.degree
     if len(ids) ** (k + 2) > COBOUNDARY_BUDGET:
         raise ValueError("coboundary tabulation would exceed the budget")
-    out = {}
-    for tup in itertools.product(ids, repeat=k + 2):
-        total = 0
-        for i in range(k + 2):
-            face = tup[:i] + tup[i + 1:]
-            total += (-1) ** i * table.value(face)
-        out[tup] = total
-    return CochainTable(degree=k + 1, flavor="homogeneous", entries=out)
+    return _tabulate(ids, k + 1, "homogeneous", lambda t: sum(
+        (-1) ** i * table.value(t[:i] + t[i + 1:]) for i in range(k + 2)))
 
 
 def to_inhomogeneous(table: CochainTable, law: GroupLaw) -> CochainTable:
@@ -147,17 +150,9 @@ def to_inhomogeneous(table: CochainTable, law: GroupLaw) -> CochainTable:
     """
     if table.flavor == "inhomogeneous":
         return table
-    ids = table.universe()
-    k = table.degree
-    out = {}
-    for tup in itertools.product(ids, repeat=k):
-        prefix = [law.identity]
-        acc = law.identity
-        for g in tup:
-            acc = law.compose(acc, g)
-            prefix.append(acc)
-        out[tup] = table.value(tuple(prefix))
-    return CochainTable(degree=k, flavor="inhomogeneous", entries=out)
+    return _tabulate(
+        table.universe(), table.degree, "inhomogeneous", lambda t: table.value(
+            tuple(itertools.accumulate(t, law.compose, initial=law.identity))))
 
 
 def to_homogeneous(table: CochainTable, law: GroupLaw) -> CochainTable:
@@ -172,14 +167,9 @@ def to_homogeneous(table: CochainTable, law: GroupLaw) -> CochainTable:
     """
     if table.flavor == "homogeneous":
         return table
-    ids = table.universe()
-    k = table.degree
-    out = {}
-    for tup in itertools.product(ids, repeat=k + 1):
-        steps = tuple(law.compose(law.inverse(tup[i]), tup[i + 1])
-                      for i in range(k))
-        out[tup] = table.value(steps)
-    return CochainTable(degree=k, flavor="homogeneous", entries=out)
+    return _tabulate(
+        table.universe(), table.degree, "homogeneous", lambda t: table.value(
+            tuple(law.compose(law.inverse(a), b) for a, b in zip(t, t[1:]))))
 
 
 class CocycleTable(Record):

@@ -48,10 +48,27 @@ def _num_to_jsonable(value):
     return value
 
 
-def _num_from_jsonable(value):
+def _is_number(value) -> bool:
+    return type(value) is int or type(value) is float
+
+
+def _num_from_jsonable(payload: dict, name: str):
+    """The numeric field payload[name] of a loaded node: a JSON number, a
+    fraction {num, den} of JSON integers with den != 0, or a list of JSON
+    numbers.  Anything else, a string or a boolean among them, is a
+    TypeError naming the field."""
+    value = payload[name]
     if isinstance(value, dict):
-        return Fraction(value["num"], value["den"])
-    return value
+        num, den = value["num"], value["den"]
+        if type(num) is int and type(den) is int and den != 0:
+            return Fraction(num, den)
+        raise TypeError(f"field {name!r} must be a fraction {{num, den}} of "
+                        f"integers with den != 0, got {value!r}")
+    if _is_number(value) or (isinstance(value, list)
+                             and all(map(_is_number, value))):
+        return value
+    raise TypeError(f"field {name!r} must be a number or a list of numbers, "
+                    f"got {value!r}")
 
 
 def _listed(value):
@@ -73,6 +90,9 @@ class HomeoExpr:
     #: the loader and equality are derived from them; children come first
     #: in the constructor's positional arguments.
     fields = ()
+
+    #: The fields that hold text; the loader requires numbers in the others.
+    _text_fields = ()
 
     def __call__(self, x, eps: float = DEFAULT_EPS) -> float:
         return evaluate(self, x, eps)
@@ -117,8 +137,9 @@ class HomeoExpr:
 
     @classmethod
     def _from_payload(cls, payload, children):
-        return cls(*children,
-                   **{f: _num_from_jsonable(payload[f]) for f in cls.fields})
+        return cls(*children, **{
+            f: payload[f] if f in cls._text_fields
+            else _num_from_jsonable(payload, f) for f in cls.fields})
 
     def _key(self):
         return (self.kind, tuple(getattr(self, f) for f in self.fields),
@@ -207,6 +228,8 @@ class Translate(HomeoExpr):
     def __init__(self, amount):
         self.amount = _num(amount)
         self._af = float(self.amount)
+        if not isfinite(self._af):
+            raise ValueError("translate amount must be finite")
 
     def _eval(self, x, eps):
         return x + self._af
@@ -249,6 +272,8 @@ class Affine(HomeoExpr):
         self.offset = _num(offset)
         self._sf = float(scale)
         self._of = float(self.offset)
+        if not (isfinite(self._sf) and isfinite(self._of)):
+            raise ValueError("affine scale and offset must be finite")
 
     def _eval(self, x, eps):
         return self._sf * x + self._of
@@ -381,7 +406,8 @@ def ArcHat(inner: HomeoExpr, lo, hi) -> CellHat:
 #: Kinds earlier versions wrote, still loaded: (payload, children) -> node
 _LOAD_ONLY_KINDS = {
     "unit_cell_hat": lambda p, kids: UnitCellHat(*kids),
-    "arc_hat": lambda p, kids: ArcHat(*kids, p["lo"], p["hi"]),
+    "arc_hat": lambda p, kids: ArcHat(*kids, _num_from_jsonable(p, "lo"),
+                                      _num_from_jsonable(p, "hi")),
 }
 
 
@@ -463,6 +489,7 @@ class PiecewiseMonotone(HomeoExpr):
                  "_periodic", "_x_first", "_x_wrap", "_x_last")
     kind = "piecewise_monotone"
     fields = ("xs", "ys", "interpolation", "extension")
+    _text_fields = ("interpolation", "extension")
 
     def __init__(self, xs, ys, interpolation="cubic", extension="linear"):
         xs = tuple(float(v) for v in xs)
@@ -475,6 +502,9 @@ class PiecewiseMonotone(HomeoExpr):
         for a, b in zip(ys, ys[1:]):
             if not b > a:
                 raise ValueError("breakpoint y values must be strictly increasing")
+        # the knots increase, so finite end knots make every knot finite
+        if not all(map(isfinite, (xs[0], xs[-1], ys[0], ys[-1]))):
+            raise ValueError("breakpoints must be finite")
         if interpolation not in ("cubic", "linear"):
             raise ValueError(f"unknown interpolation {interpolation!r}")
         if extension not in ("linear", "periodic"):
@@ -868,7 +898,9 @@ def expr_from_jsonable(doc: dict) -> HomeoExpr:
     payload = {k: v for k, v in doc.items() if k not in ("kind", "children")}
     try:
         return load(payload, children)
-    except TypeError as exc:    # parameters or children that do not fit
+    except (TypeError, OverflowError) as exc:
+        # parameters or children that do not fit, or a number past the
+        # float range
         raise ValueError(f"malformed {kind!r} node: {exc}") from exc
     except KeyError as exc:
         raise MissingFieldError(f"malformed {kind!r} node: missing field "

@@ -220,12 +220,6 @@ class ConjugacyReport(Record):
     __slots__ = ("verdict", "reason", "residual")
     _defaults = {"residual": None}
 
-    def as_jsonable(self) -> dict:
-        doc = {"verdict": self.verdict.value, "reason": self.reason}
-        if self.residual is not None:
-            doc["residual"] = self.residual
-        return doc
-
 
 def conjugacy_verdict(a: CircleZnAction, b: CircleZnAction,
                       witness: ConjugacyWitness | None = None, *,

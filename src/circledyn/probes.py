@@ -245,13 +245,6 @@ class ProbeReport(Record):
     __slots__ = ("verdict", "coverage", "parameters", "certificate")
     _defaults = {"parameters": dict, "certificate": None}
 
-    def as_jsonable(self) -> dict:
-        doc = {"verdict": self.verdict.value, "coverage": self.coverage,
-               "parameters": self.parameters}
-        if self.certificate is not None:
-            doc["certificate"] = self.certificate
-        return doc
-
 
 def orbit(action, x0: float, radius: int) -> OrbitSample:
     """Evaluate every word in the sup-norm ball at x0.

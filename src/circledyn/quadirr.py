@@ -138,9 +138,6 @@ class QuadIrrational(Record):
     def __rtruediv__(self, other):
         return _combine(other, self, "/")
 
-    def as_jsonable(self):
-        return {"p": self.p, "q": self.q, "d": self.d, "r": self.r}
-
 
 def _parts(x) -> tuple[int, int, int, int] | None:
     """(p, q, d, r) with x = (p + q*sqrt(d)) / r, where d = 0 for an int or

@@ -52,10 +52,6 @@ class RotationEstimate(Record):
 
     __slots__ = ("value", "error_bound", "iterations", "base_point")
 
-    def as_jsonable(self) -> dict:
-        return {"value": self.value, "error_bound": self.error_bound,
-                "iterations": self.iterations, "base_point": self.base_point}
-
 
 #: Per-step accuracy attainable for reduced angles (a few ulps at |y| <= 2).
 _STEP_EPS_FLOOR = 5e-16
@@ -197,7 +193,10 @@ def _orbit_knots(angles: list[float], N: int):
 def rational_screen(value: float, bound: float,
                     q_max: int = 1000) -> tuple[int, int] | None:
     """Smallest-denominator rational p/q, q <= q_max, within bound of value
-    mod 1, found by walking the Stern-Brocot tree; None when there is none."""
+    mod 1, found by walking the Stern-Brocot tree; None when there is none.
+    A q_max below 1 raises ValueError."""
+    if not q_max >= 1:
+        raise ValueError("q_max must be at least 1")
     lo = value - bound
     hi = value + bound
     if lo <= 0.0 or hi >= 1.0:

@@ -147,6 +147,17 @@ def test_only_cli_main_delivers_output():
     assert len(refs) == len(in_main) == 1, refs
 
 
+def test_only_record_and_cocycle_table_define_as_jsonable():
+    # every other record is written from its fields by Record.as_jsonable
+    owners = sorted(f"{path.name}:{node.name}" for path in MODULES
+                    for node in ast.walk(_tree(path))
+                    if isinstance(node, ast.ClassDef)
+                    and any(isinstance(item, ast.FunctionDef)
+                            and item.name == "as_jsonable"
+                            for item in node.body))
+    assert owners == ["_record.py:Record", "euler.py:CocycleTable"]
+
+
 def test_no_module_refers_to_the_private_subparsers_action():
     # build_parser hands each command's parser to _apply_config itself
     refs = [f"{path.name}:{getattr(node, 'lineno', '?')}" for path in MODULES

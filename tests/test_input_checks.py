@@ -6,9 +6,11 @@ import math
 
 import pytest
 
-from circledyn import (Translate, build_line_action, evaluate, fixed_points,
-                       inverse, parse_quad_irrational, project, sine_lift,
-                       transitivity_probe, wandering_probe)
+from circledyn import (Affine, PiecewiseMonotone, Translate,
+                       build_line_action, evaluate, fixed_points, inverse,
+                       parse_quad_irrational, power, project,
+                       rational_screen, sine_lift, transitivity_probe,
+                       wandering_probe)
 from circledyn.cli import main
 
 ALPHA = parse_quad_irrational("sqrt(2)-1")
@@ -53,6 +55,41 @@ def test_transitivity_probe_rejects_nan_eps():
 def test_quad_irrational_value_rejects_nan_eps():
     with pytest.raises(ValueError, match="eps must be positive"):
         ALPHA.value(math.nan)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Translate(math.nan), "translate amount must be finite"),
+    (lambda: Translate(-math.inf), "translate amount must be finite"),
+    (lambda: Affine(1, math.inf), "affine scale and offset must be finite"),
+    (lambda: Affine(math.inf, 0), "affine scale and offset must be finite"),
+    (lambda: Affine(1, math.nan), "affine scale and offset must be finite"),
+    (lambda: PiecewiseMonotone([-math.inf, 0.0], [0.0, 1.0]),
+     "breakpoints must be finite"),
+    (lambda: PiecewiseMonotone([0.0, 1.0], [0.0, math.inf]),
+     "breakpoints must be finite"),
+    # a closed form that overflows raises instead of building an infinite node
+    (lambda: power(Translate(1e308), 10), "translate amount must be finite"),
+])
+def test_nodes_reject_non_finite_parameters(build, message):
+    # evaluate(Translate(nan), 0.0) returned nan, and a NaN generator made
+    # the wandering probe answer SUPPORTS
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("q_max", [0, -1])
+def test_rational_screen_rejects_q_max_below_1(q_max):
+    # the bound reaching 0 returned (0, 1) whatever q_max was
+    assert rational_screen(0.0001, 0.01, 1) == (0, 1)
+    with pytest.raises(ValueError, match="q_max must be at least 1"):
+        rational_screen(0.0001, 0.01, q_max)
+
+
+def test_cli_rotnum_rejects_q_max_0(capsys):
+    assert main(["rotnum", "--lift", "translate:0.0001", "--N", "100",
+                 "--q-max", "0"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "q_max must be at least 1" in out.err
 
 
 @pytest.fixture

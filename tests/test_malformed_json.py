@@ -3,6 +3,7 @@ unwritable --output targets are validation errors: exit 2 with one
 `circledyn:` line on stderr that depends only on the invocation."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -65,6 +66,41 @@ def test_line_bundle_with_bad_generators(tmp_path, capsys, generators, message):
     ("abc", "expected a JSON object, got str"),
     ({"kind": "compose", "children": 5},
      "the children of a 'compose' node must be a list, got 5"),
+    # a zero denominator and a float overflow used to print a traceback
+    ({"kind": "translate", "amount": {"num": 1, "den": 0}},
+     "malformed 'translate' node: field 'amount' must be a fraction"),
+    ({"kind": "translate", "amount": 10 ** 400},
+     "malformed 'translate' node: int too large to convert to float"),
+    ({"kind": "translate", "amount": {"num": 10 ** 400, "den": 3}},
+     "malformed 'translate' node: "),
+    # strings and booleans used to load as numbers
+    ({"kind": "translate", "amount": {"num": True, "den": 2}},
+     "malformed 'translate' node: field 'amount' must be a fraction"),
+    ({"kind": "translate", "amount": {"num": 1.0, "den": 2}},
+     "malformed 'translate' node: field 'amount' must be a fraction"),
+    ({"kind": "translate", "amount": "0.25"},
+     "malformed 'translate' node: field 'amount' must be a number"),
+    ({"kind": "affine", "scale": True, "offset": False},
+     "malformed 'affine' node: field 'scale' must be a number"),
+    ({"kind": "affine", "scale": 1, "offset": "0.5"},
+     "malformed 'affine' node: field 'offset' must be a number"),
+    ({"kind": "cell_hat", "edges": [0, "0.5"],
+      "children": [{"kind": "identity"}]},
+     "malformed 'cell_hat' node: field 'edges' must be a number"),
+    ({"kind": "arc_hat", "lo": "0.1", "hi": 0.5,
+      "children": [{"kind": "identity"}]},
+     "malformed 'arc_hat' node: field 'lo' must be a number"),
+    ({"kind": "piecewise_monotone", "xs": [0, 0.5], "ys": [0, True],
+      "interpolation": "linear", "extension": "linear"},
+     "malformed 'piecewise_monotone' node: field 'ys' must be a number"),
+    # NaN and Infinity are JSON literals Python reads as floats
+    ({"kind": "translate", "amount": math.nan},
+     "translate amount must be finite"),
+    ({"kind": "affine", "scale": 1, "offset": -math.inf},
+     "affine scale and offset must be finite"),
+    ({"kind": "piecewise_monotone", "xs": [0, 0.5], "ys": [0, math.inf],
+      "interpolation": "linear", "extension": "linear"},
+     "breakpoints must be finite"),
 ])
 def test_bad_file_lift(tmp_path, capsys, doc, message):
     path = _write(tmp_path / "x.json", json.dumps(doc))
@@ -104,6 +140,17 @@ def test_bundle_missing_a_field_names_the_file(tmp_path, capsys, drop):
     path = _write(tmp_path / "gap.json", doc)
     _assert_rejected(capsys, ["orbit", "--group", path],
                      f"circledyn: {path}: missing field {name!r}\n")
+
+
+def test_nan_generator_is_rejected_before_a_probe(tmp_path, capsys):
+    # every comparison with NaN is false, so this bundle got SUPPORTS
+    path = _write(tmp_path / "line.json",
+                  {"space": "line", "n": 2,
+                   "generators": [TRANSLATE, {"kind": "translate",
+                                              "amount": math.nan}]})
+    _assert_rejected(capsys, ["probe-wandering", "--group", path,
+                              "--interval", "0.2,0.3", "--radius", "2"],
+                     "circledyn: translate amount must be finite\n")
 
 
 def test_witness_missing_phi_names_the_file(tmp_path, capsys):
