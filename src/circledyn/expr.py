@@ -35,11 +35,22 @@ def _register(cls):
     return cls
 
 
-def _num(value):
-    """Accept int, Fraction, or float parameters; keep exact types exact."""
+def _num(value, name: str):
+    """Accept int, Fraction, or float parameters; keep exact types exact.
+    A bool or a string, which the loader would refuse, is a TypeError
+    naming the parameter."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"parameter {name!r} must be a number, got {value!r}")
     if isinstance(value, (int, Fraction)):
         return value
     return float(value)
+
+
+def _floats(values, name: str) -> tuple:
+    """The floats of a node's edges or knots, refusing a bool or a string
+    among them as `_num` does."""
+    return tuple(v if type(v) is float else float(_num(v, name))
+                 for v in values)
 
 
 def _num_to_jsonable(value):
@@ -226,7 +237,7 @@ class Translate(HomeoExpr):
     fields = ("amount",)
 
     def __init__(self, amount):
-        self.amount = _num(amount)
+        self.amount = _num(amount, "amount")
         self._af = float(self.amount)
         if not isfinite(self._af):
             raise ValueError("translate amount must be finite")
@@ -265,11 +276,11 @@ class Affine(HomeoExpr):
     fields = ("scale", "offset")
 
     def __init__(self, scale, offset):
-        scale = _num(scale)
+        scale = _num(scale, "scale")
         if not float(scale) > 0.0:
             raise ValueError("affine scale must be positive")
         self.scale = scale
-        self.offset = _num(offset)
+        self.offset = _num(offset, "offset")
         self._sf = float(scale)
         self._of = float(self.offset)
         if not (isfinite(self._sf) and isfinite(self._of)):
@@ -337,7 +348,7 @@ class CellHat(HomeoExpr):
     fields = ("edges",)
 
     def __init__(self, inner: HomeoExpr, edges):
-        edges = tuple(float(e) for e in edges)
+        edges = _floats(edges, "edges")
         # fsum rounds the exact edges[-1] - edges[0] - 1 correctly, so it keeps
         # the sign that a float span rounded to 1.0 would lose
         if not (len(edges) >= 2 and all(a < b for a, b in zip(edges, edges[1:]))
@@ -492,8 +503,8 @@ class PiecewiseMonotone(HomeoExpr):
     _text_fields = ("interpolation", "extension")
 
     def __init__(self, xs, ys, interpolation="cubic", extension="linear"):
-        xs = tuple(float(v) for v in xs)
-        ys = tuple(float(v) for v in ys)
+        xs = _floats(xs, "xs")
+        ys = _floats(ys, "ys")
         if len(xs) != len(ys) or len(xs) < 2:
             raise ValueError("need at least two breakpoints")
         for a, b in zip(xs, xs[1:]):

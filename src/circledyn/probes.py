@@ -75,6 +75,14 @@ def _closed_form(generators) -> bool:
     return shape == "translations"
 
 
+def _pull_back(u: float) -> float:
+    """hbar^-1(u) for u in (0, 1) as `CellHat._eval` takes it, after the
+    guard-band clamp, which is always certified at DEFAULT_EPS
+    (HAT_CLAMP_TOL is finer)."""
+    u = min(max(u, BOUNDARY_DELTA), 1.0 - BOUNDARY_DELTA)
+    return math.tan(math.pi * (u - 0.5))
+
+
 def _level_values(generators, x: float, radius: int,
                   widen: float = 0.0) -> array:
     """g_v(x) over the radius ball of these generators, in code order: the
@@ -104,11 +112,8 @@ def _level_values(generators, x: float, radius: int,
         m = math.floor(x)
         u = x - m
         if 0.0 < u < 1.0:
-            # the guard-band clamp of CellHat._eval, always certified at
-            # DEFAULT_EPS (HAT_CLAMP_TOL is finer)
-            u = min(max(u, BOUNDARY_DELTA), 1.0 - BOUNDARY_DELTA)
             inner = _level_values(tuple(g.inner for g in rest),
-                                  math.tan(math.pi * (u - 0.5)), radius)
+                                  _pull_back(u), radius)
             atan, pi = math.atan, math.pi
             cell = [m + (atan(w) / pi + 0.5) for w in inner]
             # the zero word of the inners is the identity
@@ -134,8 +139,8 @@ def _level_values(generators, x: float, radius: int,
     return values
 
 
-#: the wandering screen bounds the balls of these radii before the full one,
-#: so an interval that the first shells refute never fills the whole ball
+#: the wandering screen screens the balls of these radii before the full
+#: one, so an interval that the first shells refute never reaches it
 SCREEN_RADII = (1, 2)
 #: the closed-form bounds' margin: this many units in the last place of the
 #: ball's scale per level of the recursion, on top of DEFAULT_EPS
@@ -177,23 +182,140 @@ def _ball_bounds(generators, a: float, b: float, radius: int):
     return [x - m for x in at_a], [x + m for x in at_b]
 
 
+def _descent(generators, a: float, b: float, radius: int) -> list:
+    """The words of the radius ball of closed-form generators
+    (`_closed_form`) whose values at a and at b, as `_level_values`
+    computes them, may come within `_ball_bounds`' margin and eps of
+    (a, b), in code order: a superset of the words that the whole-ball
+    scan keeps, found without filling the ball (`_descend`).  The margin
+    is taken at `_scale`, which bounds the scan's, with two ulps more for
+    the rounding of the scan's comparisons."""
+    ulp = math.ulp(_scale(generators, a, b, radius))
+    margin = 2 * DEFAULT_EPS + (LEVEL_ULPS * len(generators) + 2) * ulp
+    return _descend(generators, a, b, a - margin, b + margin, radius)
+
+
+def _scale(generators, xa: float, xb: float, radius: int) -> float:
+    """Twice the largest magnitude that a value of the ball at xa or xb can
+    take: a cell transplant keeps its cell, so a word of the line
+    construction moves a point by less than radius + 1."""
+    if _level_shape(generators) == "cells":
+        reach = radius + 1.0
+    else:
+        reach = radius * sum(abs(float(g.amount)) for g in generators)
+    return 2.0 * (max(1.0, abs(xa), abs(xb)) + reach)
+
+
+def _shifts(low: float, high: float, radius: int) -> range:
+    """The integers of [-radius, radius] from floor(low) to ceil(high)."""
+    return range(math.floor(min(max(low, -radius), radius + 1)),
+                 math.ceil(max(min(high, radius), -radius - 1)) + 1)
+
+
+def _chart(t: float) -> float:
+    """hbar^-1(t), extended by -inf below (0, 1) and by +inf above it."""
+    if not 0.0 < t < 1.0:
+        return math.inf if t >= 1.0 else -math.inf
+    return math.tan(math.pi * (t - 0.5))
+
+
+def _descend(generators, xa: float, xb: float, lo: float, hi: float,
+             radius: int) -> list:
+    """The words v of the radius ball with values g_v(xa) < hi and
+    g_v(xb) > lo, or a few more, in code order, the values being those of
+    `_level_values`.  At a cells level the values of the shift j lie in
+    [j + m, j + m + 1], m the cell of the point, so only the few shifts
+    whose cells meet (lo, hi) are kept; for each of them (lo, hi) less
+    j + m is pulled back through the chart, and the inners descend at the
+    points that `_level_values` pulls back.  A point on a wall is fixed by
+    every cell transplant, so its side of the test is decided by j + x
+    alone.  Translations end the descent (`_translation_words`).
+
+    Each level widens the target by d, LEVEL_ULPS ulps of its `_scale`,
+    for the rounding of the shift and the cell offset, and rounds it
+    outward in u by d more before the chart, for the chart's rounding and
+    the guard-band clamp; a target beyond the scale constrains nothing.
+    """
+    scale = _scale(generators, xa, xb, radius)
+    hi = math.inf if hi > scale else hi
+    lo = -math.inf if lo < -scale else lo
+    d = LEVEL_ULPS * math.ulp(scale)
+    if _level_shape(generators) == "translations":
+        return _translation_words([float(g.amount) for g in generators],
+                                  xa, xb, lo, hi, radius, d)
+    inner = tuple(g.inner for g in generators[1:])
+    ma, mb = math.floor(xa), math.floor(xb)
+    ua, ub = xa - ma, xb - mb
+    open_a, open_b = 0.0 < ua < 1.0, 0.0 < ub < 1.0
+    # a value of the shift j is at least j + low at xa and at most j + high
+    # at xb, and on a wall it is j + x
+    low = float(ma) if open_a else xa
+    high = float(mb + 1) if open_b else xb
+    ya = _pull_back(ua) if open_a else 0.0
+    yb = _pull_back(ub) if open_b else 0.0
+    words = []
+    for j in _shifts(lo - high, hi - low, radius):
+        if not (j + low < hi and j + high > lo):
+            continue
+        top = _chart(hi - (j + ma) + 2 * d) if open_a else math.inf
+        bottom = _chart(lo - (j + mb) - 2 * d) if open_b else -math.inf
+        if top > -math.inf and bottom < math.inf:
+            words.extend((j,) + w for w in
+                         _descend(inner, ya, yb, bottom, top, radius))
+    return words
+
+
+def _translation_words(amounts, xa: float, xb: float, lo: float, hi: float,
+                       radius: int, d: float) -> list:
+    """`_descend` for translations by these amounts, one coordinate at a
+    time: the shifts j whose j * a, with the later coordinates' reach, can
+    meet the target less the point form an integer range, solved directly,
+    and the last coordinate is tested on its value, summed as
+    `_level_values` sums it."""
+    prefixes = [((), lo, hi)]
+    for i, shift in enumerate(amounts):
+        reach = radius * sum(map(abs, amounts[i + 1:])) + len(amounts) * d
+        last = i == len(amounts) - 1
+        grown = []
+        for prefix, low, high in prefixes:
+            if shift:
+                ends = ((low - xb - reach) / shift,
+                        (high - xa + reach) / shift)
+                shifts = _shifts(min(ends), max(ends), radius)
+            else:
+                shifts = range(-radius, radius + 1)
+            for j in shifts:
+                s = j * shift
+                if not last:
+                    grown.append((prefix + (j,), low - s - d, high - s + d))
+                elif s + xa < high and s + xb > low:
+                    grown.append(prefix + (j,))
+        prefixes = grown
+    return prefixes
+
+
 def _candidates(generators, a: float, b: float, radius: int):
     """The words of the radius ball but the zero word, in `word_ball` order,
     whose bounds lo_v <= g_v(a) and g_v(b) <= hi_v on the exact images
-    (`_ball_bounds`) do not lie eps clear of (a, b).  Direct evaluation
-    lies within eps of the exact image, so it could not overlap (a, b) for
-    any other word.  The balls of SCREEN_RADII are bounded first and then
-    the full ball, each stage adding its new shells' candidates.
+    (`_ball_bounds`) do not lie eps clear of (a, b), or for closed-form
+    generators a few more (`_descent`).  Direct evaluation lies within eps
+    of the exact image, so it could not overlap (a, b) for any other word.
+    The balls of SCREEN_RADII are screened first and then the full ball,
+    each stage adding its new shells' candidates.
     """
     eps = DEFAULT_EPS
     rank = len(generators)
+    closed = _closed_form(generators)
     screened = 0
     for stage in sorted({min(r, radius) for r in SCREEN_RADII} | {radius}):
-        lo, hi = _ball_bounds(generators, a, b, stage)
-        codes = [code for code, (low, high) in enumerate(zip(lo, hi))
-                 if low - eps < b and high + eps > a]
-        words = [v for v in (word_of(c, rank, stage) for c in codes)
-                 if max(map(abs, v)) > screened]
+        if closed:
+            found = _descent(generators, a, b, stage)
+        else:
+            lo, hi = _ball_bounds(generators, a, b, stage)
+            found = (word_of(code, rank, stage)
+                     for code, (low, high) in enumerate(zip(lo, hi))
+                     if low - eps < b and high + eps > a)
+        words = [v for v in found if max(map(abs, v)) > screened]
         # by sup-norm; the sort is stable, so each shell keeps code
         # order, which is lexicographic
         yield from sorted(words, key=lambda v: max(map(abs, v)))
@@ -298,7 +420,10 @@ def transitivity_probe(action, x0: float, eps: float, radius: int,
 def _identity_on_interval(g: HomeoExpr, a: float, b: float, tol: float,
                           eps: float) -> bool:
     for j in range(IDENTITY_SAMPLES):
-        x = a + (b - a) * (j + 0.5) / IDENTITY_SAMPLES
+        # a convex combination of the ends: b - a overflows for the widest
+        # intervals
+        t = (j + 0.5) / IDENTITY_SAMPLES
+        x = min(max(a * (1.0 - t) + b * t, a), b)
         if abs(evaluate(g, x, eps) - x) > tol:
             return False
     return True
@@ -336,17 +461,19 @@ def wandering_probe(action, interval: tuple[float, float], radius: int,
     coverage is the word's position in `word_ball` order over the ball size.
 
     Words are screened on a lower bound of g(a) and an upper bound of g(b)
-    (`_candidates`), which `_ball_bounds` fills one generator at a time by
-    the recursion that fills `orbit`'s ball: for the line construction
-    and translation-only actions the closed-form values at a and at b
-    widened by eps and LEVEL_ULPS ulps per level, for other actions
-    stepped values widened by eps per step.  The balls of radius 1 and 2
-    are bounded before the full ball, so an interval refuted in the first
-    shells never fills it.  A word whose bounds lie eps clear of the
-    interval could not overlap it under direct evaluation either; only the
-    other words are evaluated directly from their trees, in `word_ball`
-    order, and a probe with no such word answers SUPPORTS without
-    enumerating the ball.
+    (`_candidates`).  For the line construction and translation-only
+    actions the screen descends through the levels (`_descent`): only the
+    few shifts of the first generator whose cells meet the interval are
+    kept, the interval is pulled back through the chart for each, and the
+    translations at the bottom solve their ranges directly, with margins of
+    eps and LEVEL_ULPS ulps per level, so the ball is never filled.  Other
+    actions are bounded by stepped values widened by eps per step
+    (`_ball_bounds`).  The balls of radius 1 and 2 are screened before the
+    full ball, so an interval refuted in the first shells never reaches
+    it.  A word screened out could not overlap the interval under direct
+    evaluation either; only the other words are evaluated directly from
+    their trees, in `word_ball` order, and a probe with no such word
+    answers SUPPORTS without enumerating the ball.
     """
     a, b = float(interval[0]), float(interval[1])
     if not a < b:

@@ -196,13 +196,13 @@ def test_narrow_probe_on_n4_radius5_evaluates_no_word(monkeypatch):
 
 def test_refuted_interval_bounds_only_the_first_ball(monkeypatch):
     radii = []
-    bounds = probes._ball_bounds
+    descent = probes._descent
 
     def spy(generators, a, b, radius):
         radii.append(radius)
-        return bounds(generators, a, b, radius)
+        return descent(generators, a, b, radius)
 
-    monkeypatch.setattr(probes, "_ball_bounds", spy)
+    monkeypatch.setattr(probes, "_descent", spy)
     report = wandering_probe(build_line_action(ALPHA, 4), (0.3, 0.5), 5)
     assert report.verdict is ProbeVerdict.REFUTES
     assert radii == [1]
