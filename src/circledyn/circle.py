@@ -6,6 +6,7 @@ normalized lifting is the one whose value at 0 lies in [0, 1).
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -28,12 +29,18 @@ def frac(x: float) -> float:
 
 def merge_sorted(values, resolution: float) -> list[float]:
     """The values in increasing order, each dropped when it lies less than
-    resolution above the last value kept."""
-    out: list[float] = []
-    for v in sorted(values):
-        if out and v - out[-1] < resolution:
+    resolution above the last value kept.  Values that come in increasing
+    order sort in linear time."""
+    ordered = sorted(values)
+    if not ordered:
+        return ordered
+    last = ordered[0]
+    out = [last]
+    for v in itertools.islice(ordered, 1, None):
+        if v - last < resolution:
             continue
         out.append(v)
+        last = v
     return out
 
 

@@ -72,6 +72,13 @@ class CircleZnAction(Record):
         w_f/k, and c(v, w) = floor(F_v(F_w(0))) is read there."""
         return Fraction(word[-1] % self.k, self.k)
 
+    def rotation_vector(self) -> tuple[Fraction, ...]:
+        """The exact rotation numbers of the generators, `word_rotation` of
+        each unit word: (0, ..., 0, 1/k), and 0 for f too when k = 1."""
+        rank = len(self.generators)
+        return tuple(self.word_rotation([int(i == j) for j in range(rank)])
+                     for i in range(rank))
+
 
 def is_circle(action) -> bool:
     """Whether action acts on the circle (its space is "circle")."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from array import array
+from bisect import bisect_left, bisect_right, insort
 
 from ._record import Record
 from .circle import CircleHomeo, frac, merge_circular, merge_sorted
@@ -33,7 +33,7 @@ FIXED_POINT_GRID = 512
 _word_ball = word_ball
 
 
-def _word_values(action, x0: float, radius: int) -> array:
+def _word_values(action, x0: float, radius: int) -> list:
     """g_v(x0) for every word v of the sup-norm ball, indexed by its code
     (see `word_of`), filled one generator at a time by `_level_values`.
 
@@ -46,10 +46,15 @@ def _word_values(action, x0: float, radius: int) -> array:
     among them, is stepped by the same recursion, one evaluation per
     non-zero word.
     """
+    return _level_values(action.generators, _base_point(action, x0, radius),
+                         radius)
+
+
+def _base_point(action, x0: float, radius: int) -> float:
+    """x0 as the ball's recursions take it, once the ball is checked
+    against the word budget; evaluate rejects a non-finite x0."""
     check_word_budget(len(action.generators), radius)
-    # evaluate rejects a non-finite x0
-    return _level_values(action.generators,
-                         evaluate(Identity(), x0, DEFAULT_EPS), radius)
+    return evaluate(Identity(), x0, DEFAULT_EPS)
 
 
 def _level_shape(generators) -> str | None:
@@ -83,10 +88,19 @@ def _pull_back(u: float) -> float:
     return math.tan(math.pi * (u - 0.5))
 
 
+def _push_forward(m: int, values) -> list:
+    """m + hbar(w) for each w, hbar(w) = atan(w)/pi + 1/2: a sub-ball's
+    values carried into the unit cell m, in their order.  hbar and float
+    addition are increasing, so increasing values stay increasing."""
+    atan, pi = math.atan, math.pi
+    return [m + (atan(w) / pi + 0.5) for w in values]
+
+
 def _level_values(generators, x: float, radius: int,
-                  widen: float = 0.0) -> array:
+                  widen: float = 0.0) -> list:
     """g_v(x) over the radius ball of these generators, in code order: the
-    one recursion that fills every word ball.
+    one recursion that fills every word ball (`_sorted_values` orders the
+    line construction's with its pieces).
 
     v_1 is the most significant digit of the code, so the values are the
     first generator's shifts j, each over the ball of the others:
@@ -114,15 +128,14 @@ def _level_values(generators, x: float, radius: int,
         if 0.0 < u < 1.0:
             inner = _level_values(tuple(g.inner for g in rest),
                                   _pull_back(u), radius)
-            atan, pi = math.atan, math.pi
-            cell = [m + (atan(w) / pi + 0.5) for w in inner]
+            cell = _push_forward(m, inner)
             # the zero word of the inners is the identity
             cell[len(cell) // 2] = x
         else:
             cell = [x] * (2 * radius + 1) ** len(rest)
         shift = 1.0
     else:
-        cell = _level_values(rest, x, radius, widen).tolist() if rest else [x]
+        cell = _level_values(rest, x, radius, widen) if rest else [x]
         if shape is None:
             h = head.lift if isinstance(head, CircleHomeo) else head
             up, down = [cell], [cell]    # shifts 0, 1, ... and 0, -1, ...
@@ -130,13 +143,45 @@ def _level_values(generators, x: float, radius: int,
                 for _ in range(radius):
                     row = [evaluate(step, y, DEFAULT_EPS) for y in rows[-1]]
                     rows.append([y + widen for y in row] if widen else row)
-            return array("d", [y for row in down[:0:-1] + up for y in row])
+            return [y for row in down[:0:-1] + up for y in row]
         shift = float(head.amount)
-    values = array("d")
-    for j in range(-radius, radius + 1):
-        s = j * shift
-        values.fromlist([s + c for c in cell])
-    return values
+    return _shifted(cell, shift, radius)
+
+
+def _shifted(cell, shift: float, radius: int) -> list:
+    """s + c for each s = j * shift, j = -radius..radius, and each c of
+    cell: a closed-form level's values, one block of the cell per shift."""
+    shifts = [j * shift for j in range(-radius, radius + 1)]
+    return [s + c for s in shifts for c in cell]
+
+
+def _sorted_values(generators, x: float, radius: int) -> list:
+    """The values of `_level_values` for closed-form generators
+    (`_closed_form`), the same multiset, in increasing order.  Only the
+    translations at the base are sorted.  Above them, each cells level
+    pushes the inners' sorted ball at y = hbar^-1(u) forward into the cell
+    m of x = m + u (`_push_forward`), which keeps it sorted; the inners'
+    zero word, whose value is y, is the identity, so its image is x itself,
+    put in at its sorted place.  The shift j's block lies in
+    [j + m, j + m + 1], so the blocks j = -r..r follow one another and can
+    meet only at their ends.  An x with u not in (0, 1) is fixed by every
+    cell transplant."""
+    if _level_shape(generators) == "translations":
+        values = _level_values(generators, x, radius)
+        values.sort()
+        return values
+    rest = generators[1:]
+    m = math.floor(x)
+    u = x - m
+    if 0.0 < u < 1.0:
+        y = _pull_back(u)
+        inner = _sorted_values(tuple(g.inner for g in rest), y, radius)
+        inner.remove(y)
+        cell = _push_forward(m, inner)
+        insort(cell, x)
+    else:
+        cell = [x] * (2 * radius + 1) ** len(rest)
+    return _shifted(cell, 1.0, radius)
 
 
 #: the wandering screen screens the balls of these radii before the full
@@ -372,19 +417,25 @@ def orbit(action, x0: float, radius: int) -> OrbitSample:
     """Evaluate every word in the sup-norm ball at x0.
 
     Line actions return points on R; circle actions return angles in [0, 1).
-    The ball is filled one generator at a time (`_word_values`): the line
-    construction's levels by one chart evaluation per sub-ball point, any
+    The ball is filled one generator at a time: the line construction's
+    levels by one chart evaluation per sub-ball point, in increasing order
+    (`_sorted_values`), so that only its base translations are sorted; any
     other level, a circle action's among them, by one evaluation per
-    non-zero word.  Points are sorted, and a point less than
+    non-zero word, in code order (`_word_values`).  Points are sorted, in
+    linear time when they come sorted, and a point less than
     DEDUP_RESOLUTION above the last point kept is merged into it; on the
     circle the largest angle is also merged into the smallest when they
     are that close across 0.
     """
-    values = _word_values(action, x0, radius)
     if is_circle(action):
-        points = merge_circular(map(frac, values), DEDUP_RESOLUTION)
+        points = merge_circular(map(frac, _word_values(action, x0, radius)),
+                                DEDUP_RESOLUTION)
     else:
-        points = merge_sorted(values, DEDUP_RESOLUTION)
+        generators = action.generators
+        fill = _sorted_values if _closed_form(generators) else _level_values
+        points = merge_sorted(
+            fill(generators, _base_point(action, x0, radius), radius),
+            DEDUP_RESOLUTION)
     return OrbitSample(points=tuple(points), radius=radius, base_point=x0)
 
 
@@ -393,9 +444,12 @@ def transitivity_probe(action, x0: float, eps: float, radius: int,
     """Coverage of the window by eps-bins hit by the orbit sample.
 
     SUPPORTS when every bin is hit; otherwise INCONCLUSIVE (density is
-    never refutable at a finite radius).  Only the hit bins are stored, so
-    memory is bounded by the orbit, whatever the number of bins; a window
-    of more eps-bins than a float can count raises ValueError.
+    never refutable at a finite radius).  A point y of [a, b) lies in the
+    bin min(int((y - a)/eps), bins - 1), which increases with y, so the
+    hit bins are read off the sorted orbit by bisection, one search per
+    hit bin, and memory is bounded by the orbit, whatever the number of
+    bins; a window of more eps-bins than a float can count raises
+    ValueError.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
@@ -408,9 +462,17 @@ def transitivity_probe(action, x0: float, eps: float, radius: int,
             f"window ({a}, {b}) holds too many bins of width {eps}")
     sample = orbit(action, x0, radius)
     bins = max(1, math.ceil(span))
-    hit = {min(int((y - a) / eps), bins - 1)
-           for y in sample.points if a <= y < b}
-    coverage = len(hit) / bins
+
+    def bin_of(y):
+        return min(int((y - a) / eps), bins - 1)
+
+    points = sample.points
+    i, end = bisect_left(points, a), bisect_left(points, b)
+    hit = 0
+    while i < end:
+        hit += 1
+        i = bisect_right(points, bin_of(points[i]), i, end, key=bin_of)
+    coverage = hit / bins
     verdict = ProbeVerdict.SUPPORTS if coverage == 1.0 else ProbeVerdict.INCONCLUSIVE
     return ProbeReport(verdict=verdict, coverage=coverage,
                        parameters={"eps": eps, "radius": radius,
