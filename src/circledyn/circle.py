@@ -100,20 +100,23 @@ def exact_translation_offset(F: HomeoExpr):
 def normalize_lift(F: HomeoExpr) -> tuple[HomeoExpr, int]:
     """Split F = Translate(n) . F0 with F0(0) in [0, 1) and n = floor(F(0)).
 
-    The package's one lift check: raises NotALiftError when F is not finite
-    on the check grid, otherwise when F decreases there, and otherwise when
-    its commutation defect exceeds CHECK_TOL.
+    A tree of Identity, int/Fraction Translates and Composes of them is
+    exactly x -> x + offset, a lifting, and is decided first, without
+    evaluation: F0 is the translation by the offset's fractional part.
+    Every other F meets the package's one lift check: raises NotALiftError
+    when F is not finite on the check grid, otherwise when F decreases
+    there, and otherwise when its commutation defect exceeds CHECK_TOL.
     """
+    offset = exact_translation_offset(F)
+    if offset is not None:
+        n = math.floor(offset)
+        return Translate(offset - n), n
     drop, defect, value0 = _lift_defects(F)
     if drop > 0.0:
         raise NotALiftError("expression is not increasing on the check grid")
     if defect > CHECK_TOL:
         raise NotALiftError(
             f"commutation defect {defect:.3e} exceeds tolerance {CHECK_TOL:.1e}")
-    offset = exact_translation_offset(F)
-    if offset is not None:
-        n = math.floor(offset)
-        return Translate(offset - n), n
     n = math.floor(value0)
     if n == 0:
         return F, 0
@@ -157,7 +160,8 @@ def project(F: HomeoExpr) -> CircleHomeo:
 
 
 def rotation(angle) -> CircleHomeo:
-    """The rigid rotation by the given angle (int/Fraction amounts stay exact)."""
+    """The rigid rotation by the given angle.  An int/Fraction angle, of any
+    size, stays exact and normalizes exactly, without evaluation."""
     return CircleHomeo(Translate(angle))
 
 

@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from circledyn import (CircleHomeo, Compose, Identity, Translate, evaluate,
-                       normalize_lift, project, rotation, sine_lift,
-                       commutation_defect)
+from circledyn import (CircleHomeo, Compose, Identity, Translate,
+                       cocycle_value, evaluate, normalize_lift, project,
+                       rotation, sine_lift, commutation_defect)
 from circledyn.errors import NotALiftError
 
 
@@ -25,6 +25,18 @@ def test_normalize_exact_rational_translation():
                                    Translate(Fraction(2, 3))))
     assert n == 1
     assert evaluate(F0, 0.25, 1e-12) == 0.25
+
+
+def test_exact_translations_of_any_size_normalize_exactly():
+    # an exact translation tree is decided before the float grid, where
+    # x + 2**53 would swallow x and 10**308 + 10**308 would overflow
+    from fractions import Fraction
+    assert rotation(2**53).lift == Translate(0)
+    assert rotation(10**20).lift == Translate(0)
+    assert rotation(Fraction(10**20 + 1, 3)).lift == Translate(Fraction(2, 3))
+    big = CircleHomeo(Compose(Translate(10**308), Translate(10**308)))
+    assert big.lift == Translate(0)
+    assert cocycle_value(rotation(10**20), rotation(Fraction(2, 3))) == 0
 
 
 def test_normalize_sine_lift():

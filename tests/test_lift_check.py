@@ -1,9 +1,12 @@
 """The one lift check: normalize_lift decides what a lifting is from one
 pass of 128 evaluations, for project, CircleHomeo and its composites alike.
+Exact translation trees (int/Fraction Translates, Identity and Composes of
+them) are decided first without evaluation; any float data keeps the pass.
 The check's grid, tolerance and accuracy are module constants."""
 
 import inspect
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +14,7 @@ from circledyn import circle, expr, groups, probes, rotnum
 from circledyn.circle import (CircleHomeo, merge_circular, normalize_lift,
                               project, rotation, sine_lift)
 from circledyn.errors import NotALiftError
-from circledyn.expr import HomeoExpr
+from circledyn.expr import HomeoExpr, Identity
 
 
 class _Map(HomeoExpr):
@@ -54,6 +57,26 @@ def test_compose_makes_one_pass_of_128_evaluations(evaluations):
     g = project(sine_lift(0.1, 0.02))
     evaluations.clear()
     f.compose(g)
+    assert len(evaluations) == 128
+
+
+def test_exact_rotations_make_no_evaluations(evaluations):
+    third = rotation(Fraction(1, 3))
+    two = rotation(2)
+    CircleHomeo(Identity())
+    third.compose(two)
+    third.inverse()
+    third.power(3)
+    assert evaluations == []
+
+
+def test_float_data_keeps_the_pass_of_128_evaluations(evaluations):
+    rotation(0.25)
+    assert len(evaluations) == 128
+    f = project(sine_lift(0.3, 0.05))
+    third = rotation(Fraction(1, 3))
+    evaluations.clear()
+    third.compose(f)
     assert len(evaluations) == 128
 
 
