@@ -10,20 +10,22 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import NotALiftError
+from .errors import DomainError, NotALiftError
 from .expr import (DEFAULT_EPS, Compose, HomeoExpr, Identity,
                    PiecewiseMonotone, Translate, evaluate, inverse, power)
 
 CHECK_GRID = 64
 CHECK_TOL = 1e-9
-#: The former name of expr.DEFAULT_EPS, kept importable.
-DEFAULT_EVAL_EPS = DEFAULT_EPS
 
 
 def frac(x: float) -> float:
     """Fractional part in [0, 1), never -0.0.  A tiny negative x, whose
-    difference x - floor(x) rounds to 1.0, gives 0.0, the nearest angle."""
-    f = x - math.floor(x)
+    difference x - floor(x) rounds to 1.0, gives 0.0, the nearest angle.
+    Raises DomainError for an infinite or NaN x."""
+    try:
+        f = x - math.floor(x)
+    except (OverflowError, ValueError):
+        raise DomainError(f"non-finite angle {x!r}") from None
     return 0.0 if f == 1.0 else f + 0.0
 
 
@@ -137,9 +139,6 @@ class CircleHomeo:
     def __call__(self, angle: float, eps: float = DEFAULT_EPS) -> float:
         return frac(evaluate(self.lift, frac(angle), eps))
 
-    def lift_value(self, x: float, eps: float = DEFAULT_EPS) -> float:
-        return evaluate(self.lift, x, eps)
-
     def compose(self, other: "CircleHomeo") -> "CircleHomeo":
         return CircleHomeo(Compose(self.lift, other.lift))
 
@@ -163,10 +162,6 @@ def rotation(angle) -> CircleHomeo:
     """The rigid rotation by the given angle.  An int/Fraction angle, of any
     size, stays exact and normalizes exactly, without evaluation."""
     return CircleHomeo(Translate(angle))
-
-
-def identity_circle() -> CircleHomeo:
-    return CircleHomeo(Identity(), _normalized=True)
 
 
 def sine_lift(offset, amplitude: float, knots: int = 256) -> PiecewiseMonotone:

@@ -341,7 +341,8 @@ def _cmd_euler_cocycle(args) -> tuple[str, int]:
     if not is_circle(action):
         raise ValueError("the Euler cocycle needs a circle action bundle")
     rank = len(action.generators)
-    check_word_budget(rank, args.ball)
+    # the table has a value per pair of words: the words of the 2*rank ball
+    check_word_budget(2 * rank, args.ball)
     elements = [(word, rotation(action.word_rotation(word)))
                 for word in word_ball(rank, args.ball)]
     table = euler_cocycle_table(elements)

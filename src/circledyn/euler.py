@@ -1,34 +1,29 @@
 """The bounded Euler 2-cocycle via the canonical section, cochain tables,
 and the coboundary operator on finite tabulations.
 
-The section sigma assigns to each circle homeomorphism its normalized lift
-(value at 0 in [0, 1)); the cocycle value on a pair is the constant integer
-deck transformation relating sigma(f1) sigma(f2) to sigma(f1 f2).  For
-orientation-preserving maps it always lands in {0, 1}; that range is
-asserted as a tested invariant, not assumed.
+The section sigma assigns to each circle homeomorphism f its normalized lift
+(value at 0 in [0, 1)), the CircleHomeo.lift that f stores; the cocycle
+value on a pair is the constant integer deck transformation relating
+sigma(f1) sigma(f2) to sigma(f1 f2).  For orientation-preserving maps it
+always lands in {0, 1}; that range is asserted as a tested invariant, not
+assumed.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import warnings
 from fractions import Fraction
 
 from ._record import Record
-from .circle import CircleHomeo, project, rotation
+from .circle import CircleHomeo, rotation
 from .errors import EulerRangeWarning, MissingFaceError, NonIntegerCocycleError
-from .expr import HomeoExpr, _listed
+from .expr import _listed
 
 RESIDUAL_TOL = 1e-6
 CONSTANCY_PROBE = 0.37
 COBOUNDARY_BUDGET = 200000
-
-
-def sigma_section(f) -> HomeoExpr:
-    """The normalized lift of f (the unique one with value at 0 in [0, 1))."""
-    if isinstance(f, CircleHomeo):
-        return f.lift
-    return project(f).lift
 
 
 def _deck_value(f1: CircleHomeo, f2: CircleHomeo, x: float) -> float:
@@ -209,9 +204,10 @@ def rational_class_table(k: int, residues) -> CocycleTable:
 
     Built through the section machinery (exact rational lifts), so the
     values can be checked independently against floor((r1 + r2)/k).
+    Raises TypeError for a residue that is not an integer.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    elements = tuple((int(r) % k, rotation(Fraction(int(r) % k, k)))
-                     for r in residues)
+    residues = [operator.index(r) % k for r in residues]
+    elements = tuple((r, rotation(Fraction(r, k))) for r in residues)
     return euler_cocycle_table(elements)

@@ -409,16 +409,11 @@ def UnitCellHat(inner: HomeoExpr) -> CellHat:
     return CellHat(inner, UNIT_EDGES)
 
 
-def ArcHat(inner: HomeoExpr, lo, hi) -> CellHat:
-    """inner transplanted onto the cells (lo + m, hi + m), 0 < hi - lo <= 1."""
-    return CellHat(inner, (lo, hi))
-
-
 #: Kinds earlier versions wrote, still loaded: (payload, children) -> node
 _LOAD_ONLY_KINDS = {
     "unit_cell_hat": lambda p, kids: UnitCellHat(*kids),
-    "arc_hat": lambda p, kids: ArcHat(*kids, _num_from_jsonable(p, "lo"),
-                                      _num_from_jsonable(p, "hi")),
+    "arc_hat": lambda p, kids: CellHat(*kids, (_num_from_jsonable(p, "lo"),
+                                               _num_from_jsonable(p, "hi"))),
 }
 
 

@@ -103,8 +103,8 @@ class QuadIrrational(Record):
     def value(self, eps: float = 1e-15) -> float:
         """Float approximation with |result - exact| <= eps, via integer
         square-root refinement."""
-        if not eps > 0.0:
-            raise ValueError("eps must be positive")
+        if not 0.0 < eps < math.inf:
+            raise ValueError("eps must be positive and finite")
         k = max(0, math.ceil(math.log2(max(abs(self.q), 1) / (self.r * eps))) + 1)
         s = math.isqrt(self.d << (2 * k))
         approx = Fraction(self.p, self.r) + Fraction(self.q * s, self.r << k)
@@ -175,10 +175,6 @@ def _combine(x, y, op: str):
     else:
         p, q = a * c + b * e * d, a * e + b * c
     return QuadIrrational._canonical(p, q, d, r * s) if q else Fraction(p, r * s)
-
-
-def sqrt_of(d: int) -> QuadIrrational:
-    return QuadIrrational(0, 1, d)
 
 
 def golden_ratio() -> QuadIrrational:
@@ -313,9 +309,6 @@ def cf_expand(x: QuadIrrational) -> CfExpansion:
         terms.append(a)
         P = a * Q - P
         Q = (D - P * P) // Q
-
-
-value = QuadIrrational.value
 
 
 def _prefix_maps(exp: CfExpansion, length: int):

@@ -10,7 +10,7 @@ from math import atan, floor, pi, tan
 
 import pytest
 
-from circledyn import (ArcHat, CellHat, Compose, Translate, UnitCellHat,
+from circledyn import (CellHat, Compose, Translate, UnitCellHat,
                        build_circle_action, evaluate, expr_from_jsonable,
                        expr_to_jsonable, inverse, parse_quad_irrational,
                        power)
@@ -108,7 +108,7 @@ def test_unit_cell_equals_former_unit_cell_hat(inner):
                                    (0.2, 0.4), (-0.3, 0.7), (1.0, 2.0)])
 def test_arc_cell_equals_former_arc_hat(lo, hi):
     for inner in INNERS:
-        h = ArcHat(inner, lo, hi)
+        h = CellHat(inner, (lo, hi))
         assert h == CellHat(inner, (lo, hi))
         pts = _seeded(3) + _edge_points((lo, hi))
         pts += [x + m for x in _seeded(4, 50, lo, hi) for m in (-2, -1, 1, 3)]
@@ -171,7 +171,7 @@ def test_legacy_documents_load():
     arc = expr_from_jsonable({"kind": "arc_hat", "lo": 0.25, "hi": 0.75,
                               "children": [inner]})
     assert unit == UnitCellHat(Translate(AF))
-    assert arc == ArcHat(Translate(AF), 0.25, 0.75)
+    assert arc == CellHat(Translate(AF), (0.25, 0.75))
     assert expr_to_jsonable(unit)["kind"] == "cell_hat"
 
 

@@ -5,9 +5,10 @@ import math
 import pytest
 
 from circledyn import (CircleHomeo, Compose, Identity, Translate,
-                       cocycle_value, evaluate, normalize_lift, project,
-                       rotation, sine_lift, commutation_defect)
-from circledyn.errors import NotALiftError
+                       circular_distance, cocycle_value, evaluate, frac,
+                       normalize_lift, project, rotation, sine_lift,
+                       commutation_defect)
+from circledyn.errors import DomainError, NotALiftError
 
 
 def test_normalize_translate():
@@ -83,7 +84,7 @@ def test_project_unit_translation_is_identity():
 def test_project_arnold_family():
     F = sine_lift(0.3, 0.05)
     f = project(F)
-    assert 0.0 <= f.lift_value(0.0) < 1.0
+    assert 0.0 <= f.lift(0.0) < 1.0
     assert commutation_defect(f.lift) < 1e-12
 
 
@@ -106,7 +107,7 @@ def test_circle_homeo_composition_and_inverse():
     b = rotation(0.45)
     ab = a.compose(b)
     assert ab(0.0) == pytest.approx(0.75, abs=1e-15)
-    assert 0.0 <= ab.lift_value(0.0) < 1.0
+    assert 0.0 <= ab.lift(0.0) < 1.0
     ainv = a.inverse()
     assert ainv(a(0.2)) == pytest.approx(0.2, abs=1e-12)
 
@@ -118,3 +119,11 @@ def test_circle_homeo_power():
     fm2 = f.power(-2)
     assert fm2(0.0) == pytest.approx(0.4, abs=1e-12)
     assert f.power(0)(0.123) == pytest.approx(0.123, abs=1e-15)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_non_finite_angles_raise_domain_error(x):
+    # math.floor raised OverflowError on an infinity and ValueError on NaN
+    for angle_map in (frac, rotation(0.3), lambda a: circular_distance(a, 0.0)):
+        with pytest.raises(DomainError, match="non-finite angle"):
+            angle_map(x)

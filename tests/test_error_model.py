@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from circledyn import (ArcHat, CircleHomeo, Compose, PiecewiseMonotone,
+from circledyn import (CellHat, CircleHomeo, Compose, PiecewiseMonotone,
                        ProbeVerdict, Translate, build_circle_action,
                        build_line_action, cli, cocycle_value, evaluate,
                        expr_from_jsonable, expr_to_jsonable, inverse,
@@ -81,7 +81,7 @@ def test_nested_binary_compose_document_loads_flat():
     legacy = {"kind": "compose", "children": [
         {"kind": "compose", "children": [arc(0, 1 / 3), arc(1 / 3, 2 / 3)]},
         arc(2 / 3, 1)]}
-    arcs = [ArcHat(Translate(0.41421356237309503), i / 3, (i + 1) / 3)
+    arcs = [CellHat(Translate(0.41421356237309503), (i / 3, (i + 1) / 3))
             for i in range(3)]
     flat = Compose(*arcs)
     loaded = expr_from_jsonable(legacy)

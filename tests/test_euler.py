@@ -7,22 +7,22 @@ import pytest
 from circledyn import (CochainTable, Compose, Translate, coboundary,
                        cocycle_identity_check, cocycle_value,
                        cyclic_group_law, euler_cocycle_table, evaluate,
-                       identity_circle, project, rational_class_table,
-                       rotation, sigma_section, sine_lift, to_homogeneous,
+                       project, rational_class_table, rotation,
+                       sine_lift, to_homogeneous,
                        to_inhomogeneous, word_group_law)
 from circledyn.errors import MissingFaceError
 
 
 def test_sigma_section_rotation():
-    s = sigma_section(rotation(0.3))
+    s = rotation(0.3).lift
     assert evaluate(s, 0.0, 1e-12) == pytest.approx(0.3, abs=1e-15)
-    s = sigma_section(identity_circle())
+    s = rotation(0).lift
     assert evaluate(s, 0.0, 1e-12) == 0.0
 
 
 def test_sigma_section_normalizes():
     # lift x + 1.7 + 0.1 sin(2 pi x) has sigma value 0.7 at the base point
-    s = sigma_section(project(sine_lift(1.7, 0.1)))
+    s = project(sine_lift(1.7, 0.1)).lift
     assert evaluate(s, 0.0, 1e-12) == pytest.approx(0.7, abs=1e-12)
     assert 0.0 <= evaluate(s, 0.0, 1e-12) < 1.0
 
@@ -34,8 +34,8 @@ def test_cocycle_values_on_rotations():
 
 def test_cocycle_identity_element():
     for f in (rotation(0.37), project(sine_lift(0.52, 0.07))):
-        assert cocycle_value(identity_circle(), f) == 0
-        assert cocycle_value(f, identity_circle()) == 0
+        assert cocycle_value(rotation(0), f) == 0
+        assert cocycle_value(f, rotation(0)) == 0
 
 
 def test_cocycle_identity_residual_zero():
@@ -73,6 +73,13 @@ def test_rational_table_examples():
     assert t2.values[(1, 1)] == 1
     t1 = rational_class_table(1, [0])
     assert all(v == 0 for v in t1.values.values())
+
+
+@pytest.mark.parametrize("residue", [0.5, "1"])
+def test_rational_table_rejects_non_integer_residues(residue):
+    # int() read 0.5 as residue 0 and "1" as residue 1
+    with pytest.raises(TypeError):
+        rational_class_table(3, [residue])
 
 
 def test_coboundary_of_constant_zero_cochain():

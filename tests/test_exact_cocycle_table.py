@@ -74,3 +74,20 @@ def test_n3_pairs_equal_cocycle_value_on_lift_trees(tmp_path, capsys,
                 trees[u] = CircleHomeo(word_to_homeo(action, u))
         c = cocycle_value(tabulated[v], tabulated[w])
         assert c == cocycle_value(trees[v], trees[w]) == _floor_rule(v, w, k)
+
+
+def test_budget_counts_the_pairs_of_words(tmp_path, capsys, monkeypatch):
+    # rank 3: the radius-r table has a value for each of the (2r+1)**6 pairs
+    _bundle(capsys, tmp_path / "c.json", "sqrt(2)-1", 2, 2, "1,0")
+    monkeypatch.setenv("CIRCLEDYN_WORD_BUDGET", "1000")
+    code, out, err = run(capsys, "euler-cocycle", "--action",
+                         str(tmp_path / "c.json"), "--ball", "1")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["values"]) == 729
+    table = tmp_path / "table.json"
+    code, out, err = run(capsys, "euler-cocycle", "--action",
+                         str(tmp_path / "c.json"), "--ball", "2",
+                         "--output", str(table))
+    assert (code, out) == (2, "")
+    assert "word ball of size 15625 exceeds the budget 1000" in err
+    assert not table.exists()

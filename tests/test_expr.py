@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from circledyn import (Affine, ArcHat, Compose, HBar, HBarInv, Identity,
+from circledyn import (Affine, CellHat, Compose, HBar, HBarInv, Identity,
                        Inverse, PiecewiseMonotone, Translate, UnitCellHat,
                        evaluate, expr_from_jsonable, expr_to_jsonable,
                        inverse, power)
@@ -88,7 +88,7 @@ def test_inverse_roundtrip_random_points():
         Affine(1.7, -0.3),
         Compose(Translate(0.8), Affine(0.5, 0.1)),
         UnitCellHat(Translate(1)),
-        ArcHat(Translate(2), 0.25, 0.75),
+        CellHat(Translate(2), (0.25, 0.75)),
     ]
     for h in exprs:
         hinv = inverse(h)
@@ -117,7 +117,7 @@ def test_monotone_on_grid():
 
 def test_arc_hat_matches_unit_cell_hat_on_unit_arc():
     inner = Translate(0.4142135623730951)
-    a = ArcHat(inner, 0.0, 1.0)
+    a = CellHat(inner, (0.0, 1.0))
     b = UnitCellHat(inner)
     for j in range(50):
         x = -1.8 + 3.6 * j / 49
@@ -126,7 +126,7 @@ def test_arc_hat_matches_unit_cell_hat_on_unit_arc():
 
 
 def test_arc_hat_identity_outside_cells():
-    h = ArcHat(Translate(5), 0.25, 0.5)
+    h = CellHat(Translate(5), (0.25, 0.5))
     # the transplanted cells are (0.25 + m, 0.5 + m); everything else is fixed
     for x in (0.0, 0.2, 0.5, 0.75, 1.0, 1.2, -0.1, 0.25):
         assert evaluate(h, x, 1e-12) == x
@@ -194,7 +194,7 @@ def test_serialization_roundtrip():
         Affine(2.0, -0.5),
         Compose(HBar(), HBarInv()),
         UnitCellHat(Compose(Translate(1), Translate(0.25))),
-        ArcHat(Translate(2), 0.5, 1.0),
+        CellHat(Translate(2), (0.5, 1.0)),
         Inverse(PiecewiseMonotone([0.0, 0.4, 1.0], [0.0, 0.3, 1.0])),
     ]
     for h in exprs:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from circledyn import (CfExpansion, Gl2zMatrix, QuadIrrational, Verdict,
                        build_circle_action, cf_expand, conjugacy_verdict,
-                       gl2z_equivalent, golden_ratio, mobius_apply, sqrt_of)
+                       gl2z_equivalent, golden_ratio, mobius_apply)
 
 IDENTITY = Gl2zMatrix(0, 1, 1, 0)
 RADICANDS = (2, 3, 5, 6, 7, 10, 13, 19, 21)
@@ -116,14 +116,14 @@ def test_minimal_cycle_keeps_a_primitive_period():
 
 
 def test_period_lengths_differ():
-    root2, three_root2 = sqrt_of(2), 3 * sqrt_of(2)
+    root2, three_root2 = QuadIrrational(0, 1, 2), 3 * QuadIrrational(0, 1, 2)
     assert cf_expand(root2) == CfExpansion([1], [2])
     assert cf_expand(three_root2) == CfExpansion([4], [4, 8])
     assert gl2z_equivalent(root2, three_root2) == (False, None)
 
 
 def test_no_rotation_of_the_period_matches():
-    root5 = sqrt_of(5)
+    root5 = QuadIrrational(0, 1, 5)
     assert cf_expand(golden_ratio()).period == (1,)
     assert cf_expand(root5) == CfExpansion([2], [4])
     assert gl2z_equivalent(golden_ratio(), root5) == (False, None)
@@ -131,7 +131,7 @@ def test_no_rotation_of_the_period_matches():
 
 def test_verdict_separates_inequivalent_base_irrationals():
     a = build_circle_action(golden_ratio() - 1, 2, 2, (1, 0))
-    b = build_circle_action(sqrt_of(5) - 2, 2, 2, (1, 0))
+    b = build_circle_action(QuadIrrational(0, 1, 5) - 2, 2, 2, (1, 0))
     report = conjugacy_verdict(a, b)
     assert report.verdict is Verdict.NOT_CONJUGATE
     assert report.reason == "base irrationals are not GL(2,Z) equivalent"

@@ -52,9 +52,10 @@ def test_transitivity_probe_rejects_nan_eps():
         transitivity_probe(action, 0.5, math.nan, 3)
 
 
-def test_quad_irrational_value_rejects_nan_eps():
-    with pytest.raises(ValueError, match="eps must be positive"):
-        ALPHA.value(math.nan)
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+def test_quad_irrational_value_rejects_nan_eps(eps):
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        ALPHA.value(eps)
 
 
 @pytest.mark.parametrize("build, message", [

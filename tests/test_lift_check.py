@@ -104,12 +104,12 @@ def test_monotonicity_is_reported_before_commutation():
 def test_composites_inverses_and_powers_are_checked():
     f = project(sine_lift(0.3, 0.05))
     for h in (f.compose(rotation(0.25)), f.inverse(), f.power(3)):
-        assert 0.0 <= h.lift_value(0.0) < 1.0
+        assert 0.0 <= h.lift(0.0) < 1.0
 
 
 def test_check_values_are_constants():
     assert circle.CHECK_GRID == 64 and circle.CHECK_TOL == 1e-9
-    assert circle.DEFAULT_EVAL_EPS == expr.DEFAULT_EPS == 1e-12
+    assert circle.DEFAULT_EPS == expr.DEFAULT_EPS == 1e-12
     assert not hasattr(circle, "monotonicity_defect")
     knobs = {"grid", "tol", "eps", "window", "samples"}
     for fn, keep in [(circle.commutation_defect, set()),

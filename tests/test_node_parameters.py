@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from circledyn import build_circle_action, build_line_action, parse_quad_irrational
-from circledyn.expr import (_NODE_REGISTRY, Affine, ArcHat, CellHat, Compose,
+from circledyn.expr import (_NODE_REGISTRY, Affine, CellHat, Compose,
                             HBar, HBarInv, Identity, Inverse,
                             PiecewiseMonotone, Translate, UnitCellHat,
                             expr_from_jsonable, expr_to_jsonable, inverse,
@@ -28,7 +28,7 @@ REFUSED = [
     (lambda: Affine(2, "0.5"), "offset"),
     (lambda: CellHat(Identity(), ("0", "1")), "edges"),
     (lambda: CellHat(Identity(), (False, True)), "edges"),
-    (lambda: ArcHat(Identity(), 0.25, "0.5"), "edges"),
+    (lambda: CellHat(Identity(), (0.25, "0.5")), "edges"),
     (lambda: PiecewiseMonotone(["0", "0.5"], [0.0, 0.5]), "xs"),
     (lambda: PiecewiseMonotone([0.0, True], [0.0, 0.5]), "xs"),
     (lambda: PiecewiseMonotone([0.0, 0.5], [0.0, "0.5"]), "ys"),
@@ -49,7 +49,7 @@ def _api_nodes():
     nodes = [Identity(), Translate(2), Translate(Fraction(1, 3)),
              Translate(-0.75), Affine(3, Fraction(-1, 2)), Affine(0.5, 1.25),
              HBar(), HBarInv(), UnitCellHat(Translate(0.3)),
-             ArcHat(Affine(2, 0), Fraction(1, 4), 0.75),
+             CellHat(Affine(2, 0), (Fraction(1, 4), 0.75)),
              CellHat(HBar(), (0, 0.25, 1)), table,
              PiecewiseMonotone([0, 1, 2], [0, 2, 3], "linear", "linear"),
              Compose(Translate(1), HBar()), Inverse(table), inverse(table),

@@ -7,7 +7,7 @@ import pytest
 
 from circledyn import (build_circle_action, build_line_action, evaluate, frac,
                        orbit, parse_quad_irrational, word_ball, word_to_homeo)
-from circledyn.circle import DEFAULT_EVAL_EPS
+from circledyn.expr import DEFAULT_EPS
 from circledyn.probes import DEDUP_RESOLUTION
 
 ALPHA = parse_quad_irrational("sqrt(2)-1")
@@ -44,7 +44,7 @@ def test_orbit_size_matches_direct_evaluation(spec, x0, radius):
     else:
         action = build_circle_action(ALPHA, *spec)
     circle = action.space == "circle"
-    values = [evaluate(word_to_homeo(action, v), x0, DEFAULT_EVAL_EPS)
+    values = [evaluate(word_to_homeo(action, v), x0, DEFAULT_EPS)
               for v in word_ball(len(action.generators), radius)]
     if circle:
         values = [frac(y) for y in values]

@@ -7,7 +7,7 @@ import pytest
 
 from circledyn import (Identity, ProbeVerdict, Translate, UnitCellHat,
                        ZnAction, build_line_action, compose_all, evaluate,
-                       fixed_points, identity_circle, orbit,
+                       fixed_points, orbit,
                        parse_quad_irrational, power, project, rotation,
                        sine_lift, transitivity_probe, wandering_probe)
 from circledyn.errors import (BudgetExceededError,
@@ -145,7 +145,7 @@ def test_almost_minimality_contrast():
 
 def test_fixed_points_identity_warns():
     with pytest.warns(NonIsolatedFixedPointsWarning):
-        assert fixed_points(identity_circle(), 1e-9) == []
+        assert fixed_points(rotation(0), 1e-9) == []
 
 
 def test_fixed_points_irrational_rotation_empty():

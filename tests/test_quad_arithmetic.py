@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from circledyn import (Gl2zMatrix, QuadIrrational, golden_ratio,
-                       mobius_apply, parse_quad_irrational, sqrt_of)
+                       mobius_apply, parse_quad_irrational)
 from circledyn.quadirr import MAX_RADICAND
 
 pytest.importorskip("hypothesis")
@@ -110,9 +110,9 @@ def test_results_that_are_rational_are_fractions():
     x = QuadIrrational(3, -2, 7, 5)
     assert x * 0 == Fraction(0) and isinstance(x * 0, Fraction)
     assert x - x == Fraction(0) and isinstance(x - x, Fraction)
-    assert x * (x.r / (x.p + x.q * sqrt_of(7))) == 1
-    assert sqrt_of(2) * sqrt_of(8) == Fraction(4)
-    assert sqrt_of(3) / sqrt_of(12) == Fraction(1, 2)
+    assert x * (x.r / (x.p + x.q * QuadIrrational(0, 1, 7))) == 1
+    assert QuadIrrational(0, 1, 2) * QuadIrrational(0, 1, 8) == Fraction(4)
+    assert QuadIrrational(0, 1, 3) / QuadIrrational(0, 1, 12) == Fraction(1, 2)
 
 
 def test_irrationals_over_one_radicand_combine():
@@ -125,11 +125,11 @@ def test_irrationals_over_one_radicand_combine():
 
 def test_mixed_radicands_and_foreign_types_are_refused():
     with pytest.raises(ValueError, match="mixed sqrt radicands"):
-        sqrt_of(2) + sqrt_of(3)
+        QuadIrrational(0, 1, 2) + QuadIrrational(0, 1, 3)
     with pytest.raises(TypeError):
-        sqrt_of(2) * 1.5
+        QuadIrrational(0, 1, 2) * 1.5
     with pytest.raises(ZeroDivisionError):
-        sqrt_of(2) / 0
+        QuadIrrational(0, 1, 2) / 0
 
 
 @st.composite
@@ -233,7 +233,8 @@ def test_division_by_zero_is_a_value_error(text):
 
 
 def test_deep_parentheses_are_a_value_error():
-    assert parse_quad_irrational("(" * 50 + "sqrt(2)" + ")" * 50) == sqrt_of(2)
+    assert (parse_quad_irrational("(" * 50 + "sqrt(2)" + ")" * 50)
+            == QuadIrrational(0, 1, 2))
     with pytest.raises(ValueError, match="too deeply"):
         parse_quad_irrational("(" * 5000 + "sqrt(2)" + ")" * 5000)
 

@@ -9,7 +9,7 @@ import pytest
 
 from circledyn import (CfExpansion, Gl2zMatrix, QuadIrrational, cf_expand,
                        gl2z_equivalent, golden_ratio, mobius_apply,
-                       parse_quad_irrational, sqrt_of, value)
+                       parse_quad_irrational)
 
 SQRT2M1 = QuadIrrational(-1, 1, 2)      # sqrt(2) - 1
 GOLDEN_CONJ = QuadIrrational(-1, 1, 5, 2)  # (sqrt(5) - 1) / 2
@@ -28,17 +28,18 @@ def test_canonicalization():
 
 
 def test_value_oracle():
-    assert value(SQRT2M1, 1e-12) == pytest.approx(math.sqrt(2) - 1, abs=2e-12)
-    assert value(GOLDEN_CONJ, 1e-12) == pytest.approx((math.sqrt(5) - 1) / 2, abs=2e-12)
+    assert SQRT2M1.value(1e-12) == pytest.approx(math.sqrt(2) - 1, abs=2e-12)
+    assert GOLDEN_CONJ.value(1e-12) == pytest.approx((math.sqrt(5) - 1) / 2, abs=2e-12)
     # canonical double denotes the same value
-    assert value(QuadIrrational(0, 2, 2, 2), 1e-12) == value(QuadIrrational(0, 1, 2), 1e-12)
+    assert (QuadIrrational(0, 2, 2, 2).value(1e-12)
+            == QuadIrrational(0, 1, 2).value(1e-12))
 
 
 def test_exact_floor_and_comparisons():
     assert SQRT2M1.floor() == 0
-    assert sqrt_of(2).floor() == 1
-    assert (sqrt_of(2) + 10).floor() == 11
-    assert (-sqrt_of(2)).floor() == -2
+    assert QuadIrrational(0, 1, 2).floor() == 1
+    assert (QuadIrrational(0, 1, 2) + 10).floor() == 11
+    assert (-QuadIrrational(0, 1, 2)).floor() == -2
     assert SQRT2M1 > 0
     assert SQRT2M1 < 1
     big = QuadIrrational(10**40, 1, 2)
@@ -48,30 +49,31 @@ def test_exact_floor_and_comparisons():
 def test_cf_expansions():
     assert cf_expand(SQRT2M1) == CfExpansion([0], [2])
     assert cf_expand(GOLDEN_CONJ) == CfExpansion([0], [1])
-    assert cf_expand(sqrt_of(2) + 1) == CfExpansion([], [2])
-    assert cf_expand(sqrt_of(3)) == CfExpansion([1], [1, 2])
+    assert cf_expand(QuadIrrational(0, 1, 2) + 1) == CfExpansion([], [2])
+    assert cf_expand(QuadIrrational(0, 1, 3)) == CfExpansion([1], [1, 2])
 
 
 def test_cf_convergents_rate():
     # |x - p_k/q_k| < 1/(q_k q_{k+1})
-    x = sqrt_of(7)
+    x = QuadIrrational(0, 1, 7)
     exp = cf_expand(x)
     convs = list(exp.convergents(12))
     for a, b in zip(convs, convs[1:]):
-        err = abs(Fraction(value(x, 1e-16)).limit_denominator(10**12) - a)
+        err = abs(Fraction(x.value(1e-16)).limit_denominator(10**12) - a)
         bound = Fraction(1, a.denominator * b.denominator)
         assert err <= bound * Fraction(102, 100)
 
 
 def test_cf_value_roundtrip():
-    for x in (SQRT2M1, GOLDEN_CONJ, sqrt_of(13) - 3, QuadIrrational(3, -2, 6, 5)):
+    for x in (SQRT2M1, GOLDEN_CONJ, QuadIrrational(0, 1, 13) - 3,
+              QuadIrrational(3, -2, 6, 5)):
         exp = cf_expand(x)
         approx = list(exp.convergents(25))[-1]
-        assert abs(float(approx) - value(x, 1e-15)) < 1e-9
+        assert abs(float(approx) - x.value(1e-15)) < 1e-9
 
 
 def test_mobius_trivial_examples():
-    alpha = sqrt_of(3)
+    alpha = QuadIrrational(0, 1, 3)
     assert mobius_apply(Gl2zMatrix(1, 1, 1, 0), alpha) == alpha + 1
     assert mobius_apply(Gl2zMatrix(0, 1, 1, 0), alpha) == alpha
     inv = mobius_apply(Gl2zMatrix(1, 0, 0, 1), alpha)   # 1/alpha
@@ -89,15 +91,15 @@ def test_gl2z_matrix_validates_det():
 
 
 def test_equivalence_examples():
-    eq, w = gl2z_equivalent(SQRT2M1, sqrt_of(2) + 1)
+    eq, w = gl2z_equivalent(SQRT2M1, QuadIrrational(0, 1, 2) + 1)
     assert eq and w is not None
-    assert mobius_apply(w, SQRT2M1) == sqrt_of(2) + 1
+    assert mobius_apply(w, SQRT2M1) == QuadIrrational(0, 1, 2) + 1
     assert abs(w.det) == 1
 
     eq, w = gl2z_equivalent(GOLDEN_CONJ, SQRT2M1)
     assert not eq and w is None
 
-    alpha = sqrt_of(3)
+    alpha = QuadIrrational(0, 1, 3)
     eq, w = gl2z_equivalent(alpha, alpha + 1)
     assert eq
     assert mobius_apply(w, alpha) == alpha + 1

@@ -7,7 +7,7 @@ import pytest
 
 from circledyn import (Affine, Identity, PiecewiseMonotone, Translate,
                        circular_distance, conjugate_to_translation, evaluate,
-                       frac, identity_circle, project, rational_screen,
+                       frac, project, rational_screen,
                        rotation, rotation_number, sine_lift,
                        approximate_poincare_conjugacy)
 from circledyn.errors import (DomainError, HasFixedPointError,
@@ -30,7 +30,7 @@ def test_rotation_number_of_translation_is_exact():
 
 def test_rotation_number_identity():
     for n in (1, 7, 100):
-        assert rotation_number(identity_circle(), n).value == 0.0
+        assert rotation_number(rotation(0), n).value == 0.0
 
 
 def test_rotation_number_rho_alpha():
