@@ -18,14 +18,13 @@ import os
 import sys
 
 from .circle import project, rotation, sine_lift
-from .errors import CircledynError
+from .errors import BudgetExceededError, CircledynError
 from .euler import euler_cocycle_table
 from .expr import (Affine, HomeoExpr, Identity, Translate,
                    expr_from_jsonable, expr_to_jsonable)
-from .groups import (CircleZnAction, ConjugacyWitness, ZnAction,
-                     build_circle_action, build_line_action,
-                     check_word_budget, conjugacy_verdict, is_circle,
-                     word_ball)
+from .groups import (CircleZnAction, ConjugacyWitness, ZnAction, _ball_size,
+                     _word_budget, build_circle_action, build_line_action,
+                     conjugacy_verdict, is_circle, word_ball)
 from .probes import (ProbeVerdict, fixed_points, orbit, transitivity_probe,
                      wandering_probe)
 from .quadirr import QuadIrrational, gl2z_equivalent, parse_quad_irrational
@@ -341,8 +340,13 @@ def _cmd_euler_cocycle(args) -> tuple[str, int]:
     if not is_circle(action):
         raise ValueError("the Euler cocycle needs a circle action bundle")
     rank = len(action.generators)
-    # the table has a value per pair of words: the words of the 2*rank ball
-    check_word_budget(2 * rank, args.ball)
+    # the table has a value for each ordered pair of the ball's words
+    words = _ball_size(rank, args.ball)
+    budget = _word_budget()
+    if words * words > budget:
+        raise BudgetExceededError(
+            f"--ball {args.ball} tabulates {words * words} ordered pairs of "
+            f"{words} words, over the word budget {budget}")
     elements = [(word, rotation(action.word_rotation(word)))
                 for word in word_ball(rank, args.ball)]
     table = euler_cocycle_table(elements)

@@ -111,6 +111,17 @@ def _ball_size(rank: int, radius: int) -> int:
     return (2 * radius + 1) ** rank
 
 
+def _word_budget() -> int:
+    """The word budget, read from CIRCLEDYN_WORD_BUDGET on each call; a
+    value that is not an integer raises ValueError."""
+    raw = os.environ.get(BUDGET_ENV_VAR)
+    try:
+        return int(raw) if raw else DEFAULT_WORD_BUDGET
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, "
+                         f"not {raw!r}") from None
+
+
 def check_word_budget(rank: int, radius: int) -> int:
     """The number of words of sup-norm at most radius.
 
@@ -119,12 +130,7 @@ def check_word_budget(rank: int, radius: int) -> int:
     (CIRCLEDYN_WORD_BUDGET, default 10**6).
     """
     count = _ball_size(rank, radius)
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    try:
-        budget = int(raw) if raw else DEFAULT_WORD_BUDGET
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, "
-                         f"not {raw!r}") from None
+    budget = _word_budget()
     if count > budget:
         raise BudgetExceededError(
             f"word ball of size {count} exceeds the budget {budget}")

@@ -33,30 +33,6 @@ FIXED_POINT_GRID = 512
 _word_ball = word_ball
 
 
-def _word_values(action, x0: float, radius: int) -> list:
-    """g_v(x0) for every word v of the sup-norm ball, indexed by its code
-    (see `word_of`), filled one generator at a time by `_level_values`.
-
-    The line construction's levels are closed forms, one chart evaluation
-    per sub-ball point, whose error does not grow with the level: hbar has
-    slope <= 1/pi, so a sub-orbit's error shrinks on the way up and each
-    level adds only the rounding of hbar and of the shift; only the base
-    point is pulled back through tan, once per level, as `CellHat._eval`
-    pulls back each word's argument.  Any other level, a circle action's
-    among them, is stepped by the same recursion, one evaluation per
-    non-zero word.
-    """
-    return _level_values(action.generators, _base_point(action, x0, radius),
-                         radius)
-
-
-def _base_point(action, x0: float, radius: int) -> float:
-    """x0 as the ball's recursions take it, once the ball is checked
-    against the word budget; evaluate rejects a non-finite x0."""
-    check_word_budget(len(action.generators), radius)
-    return evaluate(Identity(), x0, DEFAULT_EPS)
-
-
 def _level_shape(generators) -> str | None:
     """How `_level_values` fills a level of these generators in closed
     form: "translations", "cells" (the unit translation followed by
@@ -114,6 +90,13 @@ def _level_values(generators, x: float, radius: int,
         from shift j - 1 to j by one evaluation of g_1 (its lift, for a
         circle action), or of its inverse for j < 0, at DEFAULT_EPS.  That
         is one evaluation per non-zero word, in the order of its tree.
+
+    A closed-form level's error does not grow with the level: hbar's slope
+    is at most 1/pi, so a sub-ball's error shrinks on the way up, and only
+    the point is pulled back through tan, once per level.  These branches
+    fill the closed-form levels of actions that are not closed-form
+    throughout, and give the code-order ball that `_sorted_values` and
+    `_descent` (through `_ball_bounds`' scan) are checked against.
 
     A non-zero widen gives bounds instead (`_ball_bounds`): every level is
     stepped and each step moves its result by widen, -eps for the images
@@ -417,25 +400,25 @@ def orbit(action, x0: float, radius: int) -> OrbitSample:
     """Evaluate every word in the sup-norm ball at x0.
 
     Line actions return points on R; circle actions return angles in [0, 1).
-    The ball is filled one generator at a time: the line construction's
-    levels by one chart evaluation per sub-ball point, in increasing order
-    (`_sorted_values`), so that only its base translations are sorted; any
-    other level, a circle action's among them, by one evaluation per
-    non-zero word, in code order (`_word_values`).  Points are sorted, in
-    linear time when they come sorted, and a point less than
-    DEDUP_RESOLUTION above the last point kept is merged into it; on the
-    circle the largest angle is also merged into the smallest when they
-    are that close across 0.
+    The ball is checked against the word budget and filled by one call:
+    in increasing order when the generators are in closed form
+    (`_sorted_values`: the line construction, translation-only actions on
+    the line or the circle), in code order by one evaluation per non-zero
+    word otherwise (`_level_values`, a circle construction among them).
+    Points are sorted, in linear time when they come sorted, and a point
+    less than DEDUP_RESOLUTION above the last point kept is merged into
+    it; on the circle the largest angle is also merged into the smallest
+    when they are that close across 0.
     """
+    generators = action.generators
+    check_word_budget(len(generators), radius)
+    x = evaluate(Identity(), x0, DEFAULT_EPS)    # rejects a non-finite x0
+    fill = _sorted_values if _closed_form(generators) else _level_values
+    values = fill(generators, x, radius)
     if is_circle(action):
-        points = merge_circular(map(frac, _word_values(action, x0, radius)),
-                                DEDUP_RESOLUTION)
+        points = merge_circular(map(frac, values), DEDUP_RESOLUTION)
     else:
-        generators = action.generators
-        fill = _sorted_values if _closed_form(generators) else _level_values
-        points = merge_sorted(
-            fill(generators, _base_point(action, x0, radius), radius),
-            DEDUP_RESOLUTION)
+        points = merge_sorted(values, DEDUP_RESOLUTION)
     return OrbitSample(points=tuple(points), radius=radius, base_point=x0)
 
 

@@ -1,7 +1,9 @@
-"""The names the benchmark's traced runs wrap or read still resolve in
-circledyn: a rename would break the traced wordball run, not a test.  The
-benchmark's lists are read from the literals in `perfbench/tracing.py`,
-which is neither run nor edited here."""
+"""The names the benchmark wraps, reads or calls still resolve in
+circledyn: a rename would break a benchmark run, not a test.  The traced
+runs' lists are read from the literals in `perfbench/tracing.py`, and the
+names the workloads call from the attribute chains rooted at `cd`, the
+package, in every `perfbench/*.py`; those files are parsed, neither run
+nor edited here."""
 
 import ast
 import importlib
@@ -9,7 +11,10 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+import circledyn.cli    # the workloads call cd.cli too
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _traced_names() -> dict:
@@ -49,3 +54,25 @@ def test_word_ball_enumerator_resolves():
     # the traced wordball run times this enumerator over each case's ball
     enumerate_ball = _module("probes")._word_ball
     assert list(enumerate_ball(2, 1))[:2] == [(0, 0), (-1, -1)]
+
+
+def _package_chains() -> list:
+    """Every attribute chain rooted at the name cd in perfbench/*.py, such
+    as "cli.action_from_bundle", once each, sorted."""
+    chains = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names, root = [], node
+            while isinstance(root, ast.Attribute):
+                names.append(root.attr)
+                root = root.value
+            if names and isinstance(root, ast.Name) and root.id == "cd":
+                chains.add(".".join(reversed(names)))
+    return sorted(chains)
+
+
+@pytest.mark.parametrize("chain", _package_chains())
+def test_benchmark_package_name_resolves(chain):
+    target = circledyn
+    for name in chain.split("."):
+        target = getattr(target, name)

@@ -89,5 +89,6 @@ def test_budget_counts_the_pairs_of_words(tmp_path, capsys, monkeypatch):
                          str(tmp_path / "c.json"), "--ball", "2",
                          "--output", str(table))
     assert (code, out) == (2, "")
-    assert "word ball of size 15625 exceeds the budget 1000" in err
+    assert ("--ball 2 tabulates 15625 ordered pairs of 125 words, over the "
+            "word budget 1000") in err
     assert not table.exists()

@@ -19,7 +19,7 @@ from circledyn import probes
 from circledyn.cli import action_from_bundle, main
 from circledyn.errors import BudgetExceededError, DomainError
 from circledyn.expr import BOUNDARY_DELTA, DEFAULT_EPS, UnitCellHat
-from circledyn.probes import DEDUP_RESOLUTION, _word_values
+from circledyn.probes import DEDUP_RESOLUTION
 
 ALPHA = parse_quad_irrational("sqrt(2)-1")
 
@@ -55,7 +55,7 @@ def _merged_count(values):
 def test_level_values_match_direct_evaluation(n, radius):
     action = build_line_action(ALPHA, n)
     for x0 in _base_points(n):
-        values = _word_values(action, x0, radius)
+        values = probes._level_values(action.generators, x0, radius)
         direct = _direct(action, x0, radius)
         assert len(values) == len(direct)
         worst = max(abs(a - b) for a, b in zip(values, direct))
@@ -72,7 +72,7 @@ def test_orbit_size_matches_direct_evaluation(n, radius):
 
 def test_integer_base_point_is_fixed_by_every_cell():
     action = build_line_action(ALPHA, 4)
-    values = _word_values(action, -2.0, 2)
+    values = probes._level_values(action.generators, -2.0, 2)
     cube = 5 ** 3
     for i, j in enumerate(range(-2, 3)):
         assert set(values[i * cube:(i + 1) * cube]) == {-2.0 + j}
@@ -82,7 +82,7 @@ def test_zero_word_is_the_base_point():
     for n in (2, 3, 4):
         action = build_line_action(ALPHA, n)
         for x0 in _base_points(n):
-            values = _word_values(action, x0, 3)
+            values = probes._level_values(action.generators, x0, 3)
             assert values[len(values) // 2] == x0
 
 
@@ -114,7 +114,7 @@ def test_off_shape_actions_take_the_step_engine(name, monkeypatch):
 
     monkeypatch.setattr(probes, "_level_values", spy)
     for x0 in (0.37, -1.8, 2.0):
-        values = _word_values(action, x0, 2)
+        values = probes._level_values(action.generators, x0, 2)
         direct = _direct(action, x0, 2)
         assert max(abs(a - b) for a, b in zip(values, direct)) <= 1e-12
     assert stepped
@@ -129,17 +129,18 @@ def test_bundle_read_back_gives_identical_values(n, tmp_path, capsys):
     loaded = action_from_bundle(json.loads(path.read_text()))
     built = build_line_action(ALPHA, n)
     for x0 in _base_points(n):
-        assert _word_values(loaded, x0, 3) == _word_values(built, x0, 3)
+        assert (probes._level_values(loaded.generators, x0, 3)
+                == probes._level_values(built.generators, x0, 3))
 
 
 def test_word_values_keep_their_checks():
     action = build_line_action(ALPHA, 3)
     with pytest.raises(ValueError, match="nonnegative"):
-        _word_values(action, 0.5, -1)
+        orbit(action, 0.5, -1)
     with pytest.raises(BudgetExceededError):
-        _word_values(action, 0.5, 100)
+        orbit(action, 0.5, 100)
     with pytest.raises(DomainError):
-        _word_values(action, math.nan, 2)
+        orbit(action, math.nan, 2)
 
 
 def test_orbit_n4_radius5_makes_no_cell_transplant(monkeypatch):
@@ -184,5 +185,5 @@ def test_orbit_n4_radius5_makes_no_cell_transplant(monkeypatch):
 def test_radius_zero_is_the_base_point():
     for n in (2, 3, 4, 5):
         action = build_line_action(ALPHA, n)
-        assert list(_word_values(action, 0.37, 0)) == [0.37]
+        assert list(probes._level_values(action.generators, 0.37, 0)) == [0.37]
 

@@ -1,8 +1,9 @@
 """The line construction's ball comes out sorted: `_sorted_values` gives the
-multiset of `_word_values`, bit for bit, in increasing order, so `orbit`
+multiset of `_level_values`, bit for bit, in increasing order, so `orbit`
 hands `merge_sorted` a sorted list.  `transitivity_probe` reads its hit
 bins off the sorted orbit by bisection, with the coverage of the former
-set of bins."""
+set of bins.  Whatever the action's shape, `orbit`'s points are the
+code-order ball merged, bit for bit."""
 
 import math
 import operator
@@ -11,11 +12,15 @@ from collections import Counter
 
 import pytest
 
-from circledyn import (build_circle_action, build_line_action, orbit,
-                       parse_quad_irrational, transitivity_probe)
+from circledyn import (Translate, ZnAction, build_circle_action,
+                       build_line_action, frac, orbit, parse_quad_irrational,
+                       transitivity_probe)
 from circledyn import probes
+from circledyn.circle import merge_circular, merge_sorted
 from circledyn.expr import BOUNDARY_DELTA
-from circledyn.probes import OrbitSample, _sorted_values, _word_values
+from circledyn.groups import is_circle
+from circledyn.probes import DEDUP_RESOLUTION, OrbitSample, _sorted_values
+from test_level_orbit import OFF_SHAPE
 
 ALPHA = parse_quad_irrational("sqrt(2)-1")
 
@@ -39,9 +44,8 @@ def test_sorted_ball_is_the_word_ball_in_order(n, radius):
     assert probes._closed_form(action.generators)
     rng = random.Random(f"sorted ball {n}")
     for x0 in BASE_POINTS + tuple(rng.uniform(-3.0, 3.0) for _ in range(4)):
-        x = probes._base_point(action, x0, radius)
-        got = _sorted_values(action.generators, x, radius)
-        want = _word_values(action, x0, radius)
+        got = _sorted_values(action.generators, x0, radius)
+        want = probes._level_values(action.generators, x0, radius)
         assert Counter(map(float.hex, got)) == Counter(map(float.hex, want))
         assert _nondecreasing(got), x0
 
@@ -59,6 +63,39 @@ def test_orbit_merges_a_sorted_ball(monkeypatch):
     for x0 in (0.37, 0.5, 2.0, -1.61):
         orbit(action, x0, 5)
     assert merged == [True] * 4
+
+
+#: an action of every shape that `orbit` fills: translation-only circle
+#: actions of rank 1 and 2, the circle construction and the off-shape line
+#: actions
+SHAPES = {
+    "rotation": ZnAction(n=1, generators=(Translate(float(ALPHA)),),
+                         space="circle"),
+    "rotations": ZnAction(n=2, generators=(Translate(1),
+                                           Translate(float(ALPHA))),
+                          space="circle"),
+    "circle (2, 2, (1, 0))": build_circle_action(ALPHA, 2, 2, (1, 0)),
+    **{name: ZnAction(n=len(gens), generators=gens)
+       for name, gens in OFF_SHAPE.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_orbit_points_of_every_shape(name):
+    # the points are the code-order ball merged, bit for bit, whichever
+    # fill orbit takes
+    action = SHAPES[name]
+    rng = random.Random(f"orbit shape {name}")
+    base_points = (0.0, -0.0, 2, -3, 1 - 2.0**-53) + tuple(
+        rng.uniform(-3.0, 3.0) for _ in range(3))
+    for x0 in base_points:
+        values = probes._level_values(action.generators, float(x0), 2)
+        if is_circle(action):
+            want = merge_circular(map(frac, values), DEDUP_RESOLUTION)
+        else:
+            want = merge_sorted(values, DEDUP_RESOLUTION)
+        got = orbit(action, x0, 2).points
+        assert list(map(float.hex, got)) == list(map(float.hex, want)), x0
 
 
 def _former_coverage(points, eps, window):

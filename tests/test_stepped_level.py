@@ -13,7 +13,7 @@ from circledyn import (build_circle_action, evaluate, orbit,
                        parse_quad_irrational, wandering_probe, word_to_homeo)
 from circledyn import probes
 from circledyn.expr import DEFAULT_EPS
-from circledyn.probes import ProbeVerdict, _word_values
+from circledyn.probes import ProbeVerdict
 
 ALPHA = parse_quad_irrational("sqrt(2)-1")
 
@@ -70,7 +70,7 @@ def test_circle_values_match_direct_evaluation(spec):
     rank = len(action.generators)
     radius = 2 if rank == 3 else 1
     for x0 in BASE_POINTS:
-        values = _word_values(action, x0, radius)
+        values = probes._level_values(action.generators, x0, radius)
         for code, v in enumerate(_words(rank, radius)):
             direct = evaluate(word_to_homeo(action, v), x0, DEFAULT_EPS)
             assert abs(values[code] - direct) <= 1e-12, (v, x0)

@@ -11,7 +11,8 @@ from circledyn import (build_circle_action, build_line_action,
                        check_word_budget, cli, evaluate, orbit,
                        parse_quad_irrational, transitivity_probe,
                        wandering_probe, word_ball, word_to_homeo)
-from circledyn.probes import ProbeReport, ProbeVerdict, _word_values
+from circledyn import probes
+from circledyn.probes import ProbeReport, ProbeVerdict
 
 ALPHA = parse_quad_irrational("sqrt(2)-1")
 
@@ -62,7 +63,7 @@ def test_engine_values_match_direct_evaluation(spec, radius):
     action = _action(spec)
     rng = random.Random(f"{spec} {radius}")
     for x0 in (rng.uniform(-1.0, 2.0), rng.uniform(0.0, 1.0)):
-        values = _word_values(action, x0, radius)
+        values = probes._level_values(action.generators, x0, radius)
         direct = _direct_values(action, x0, radius)
         assert len(values) == len(direct)
         for code, y in direct.items():
