@@ -10,6 +10,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from ._record import Record
 from .errors import DomainError, NotALiftError
 from .expr import (DEFAULT_EPS, Compose, HomeoExpr, Identity,
                    PiecewiseMonotone, Translate, evaluate, inverse, power)
@@ -125,16 +126,14 @@ def normalize_lift(F: HomeoExpr) -> tuple[HomeoExpr, int]:
     return Compose(Translate(-n), F), n
 
 
-class CircleHomeo:
+class CircleHomeo(Record):
     """Orientation-preserving circle homeomorphism stored as its normalized
     lifting (value at 0 in [0, 1)), checked by normalize_lift."""
 
     __slots__ = ("lift",)
 
-    def __init__(self, lift: HomeoExpr, *, _normalized: bool = False):
-        if not _normalized:
-            lift, _ = normalize_lift(lift)
-        self.lift = lift
+    def __init__(self, lift: HomeoExpr):
+        object.__setattr__(self, "lift", normalize_lift(lift)[0])
 
     def __call__(self, angle: float, eps: float = DEFAULT_EPS) -> float:
         return frac(evaluate(self.lift, frac(angle), eps))
@@ -147,9 +146,6 @@ class CircleHomeo:
 
     def power(self, m: int) -> "CircleHomeo":
         return CircleHomeo(power(self.lift, m))
-
-    def __repr__(self):
-        return f"CircleHomeo({self.lift!r})"
 
 
 def project(F: HomeoExpr) -> CircleHomeo:

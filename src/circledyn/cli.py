@@ -279,9 +279,7 @@ def _cmd_orbit(args) -> tuple[str, int]:
             window = _point_range(sample.points)
         text = _svg_scatter(sample.points, window)
     else:
-        text = emit_json({"base_point": sample.base_point,
-                          "radius": sample.radius,
-                          "points": list(sample.points)})
+        text = emit_json(sample.as_jsonable())
     return text, 0
 
 

@@ -28,10 +28,10 @@ class RangeError(CircledynError, ValueError):
 class RationalRotationError(CircledynError, ValueError):
     """Rotation estimate is consistent with a small-denominator rational."""
 
-    def __init__(self, p: int, q: int, message: str | None = None):
+    def __init__(self, p: int, q: int):
         self.p = p
         self.q = q
-        super().__init__(message or f"rotation number consistent with {p}/{q}")
+        super().__init__(f"rotation number consistent with {p}/{q}")
 
 
 class NotPrimitiveError(CircledynError, ValueError):

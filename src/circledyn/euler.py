@@ -27,10 +27,8 @@ COBOUNDARY_BUDGET = 200000
 
 
 def _deck_value(f1: CircleHomeo, f2: CircleHomeo, x: float) -> float:
-    s1 = f1.lift
-    s2 = f2.lift
-    composite = f1.compose(f2)
-    return s1(s2(x)) - composite.lift(x)
+    composite = f1.compose(f2).lift
+    return f1.lift(f2.lift(x)) - composite(x)
 
 
 def cocycle_value(f1: CircleHomeo, f2: CircleHomeo) -> int:

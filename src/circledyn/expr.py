@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from math import atan, floor, fsum, isfinite, pi, tan
+from math import atan, floor, fsum, inf, isfinite, pi, tan
 
 from .errors import DomainError, MissingFieldError, PrecisionError
 
@@ -173,17 +173,20 @@ class HomeoExpr:
 def evaluate(h: HomeoExpr, x, eps: float = DEFAULT_EPS) -> float:
     """Evaluate h at x with requested absolute accuracy eps.
 
-    Raises DomainError if x is outside the domain of h and PrecisionError
-    if the requested accuracy is unattainable (inverse bisection budget,
-    or arguments inside the chart guard band).
+    Raises ValueError unless 0 < eps < inf, DomainError if float(x) is not
+    finite or x is outside the domain of h, and PrecisionError if eps is
+    unattainable (inverse bisection budget, or chart guard band arguments).
 
     This is the one public entry point and validates eps and x.  Nodes call
     their children's `_eval` directly where the argument is finite by
     construction, and `Compose` checks the intermediate values itself.
     """
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
-    x = float(x)
+    if not (eps > 0.0 and eps < inf):   # unchained: cheaper on this hot path
+        raise ValueError("eps must be positive and finite")
+    try:
+        x = float(x)
+    except OverflowError:   # no repr: past 4,300 digits an int has none
+        raise DomainError("evaluation point beyond the float range") from None
     if not isfinite(x):
         raise _non_finite(x)
     return h._eval(x, eps)
@@ -430,8 +433,6 @@ def _pchip_endpoint(h0, h1, d0, d1):
     t = ((2.0 * h0 + h1) * d0 - h0 * d1) / (h0 + h1)
     if t * d0 <= 0.0:
         return 0.0
-    if d0 * d1 < 0.0 and abs(t) > 3.0 * abs(d0):
-        return 3.0 * d0
     return t
 
 
@@ -478,8 +479,8 @@ class PiecewiseMonotone(HomeoExpr):
 
     interpolation: "cubic" (Fritsch-Carlson monotone cubic, the default) or
     "linear".  At the ends of a non-periodic cubic table the tangent is
-    the clamped three-point one, or 0 where its sign differs from the end
-    secant's (`_pchip_endpoint`); with a zero end tangent the table is
+    the three-point one, or 0 where its sign differs from the end secant's
+    (`_pchip_endpoint`); with a zero end tangent the table is
     flat to rounding next to that knot, and its inverse there meets eps
     for this float map, not for the exact cubic.
 

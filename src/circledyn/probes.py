@@ -382,7 +382,7 @@ class ProbeVerdict(enum.Enum):
 class OrbitSample(Record):
     """Deduplicated orbit points of a base point under a word ball."""
 
-    __slots__ = ("points", "radius", "base_point")
+    __slots__ = ("base_point", "radius", "points")
 
     def __len__(self):
         return len(self.points)
@@ -419,7 +419,7 @@ def orbit(action, x0: float, radius: int) -> OrbitSample:
         points = merge_circular(map(frac, values), DEDUP_RESOLUTION)
     else:
         points = merge_sorted(values, DEDUP_RESOLUTION)
-    return OrbitSample(points=tuple(points), radius=radius, base_point=x0)
+    return OrbitSample(x0, radius, tuple(points))
 
 
 def transitivity_probe(action, x0: float, eps: float, radius: int,
@@ -436,7 +436,10 @@ def transitivity_probe(action, x0: float, eps: float, radius: int,
     """
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
-    a, b = float(window[0]), float(window[1])
+    try:
+        a, b = float(window[0]), float(window[1])
+    except OverflowError:   # no repr: past 4,300 digits an int has none
+        raise ValueError("window end beyond the float range") from None
     if not b > a:
         raise ValueError("window must be a nonempty interval")
     span = (b - a) / eps
@@ -520,7 +523,10 @@ def wandering_probe(action, interval: tuple[float, float], radius: int,
     their trees, in `word_ball` order, and a probe with no such word
     answers SUPPORTS without enumerating the ball.
     """
-    a, b = float(interval[0]), float(interval[1])
+    try:
+        a, b = float(interval[0]), float(interval[1])
+    except OverflowError:   # no repr: past 4,300 digits an int has none
+        raise ValueError("interval end beyond the float range") from None
     if not a < b:
         raise ValueError("interval must satisfy a < b")
     if not 0.0 <= tol < math.inf:

@@ -125,7 +125,7 @@ def test_broken_lift_detected():
     # lift is normalized (commutation check at composition time)
     from circledyn import Affine, CircleHomeo
     from circledyn.errors import NotALiftError
-    fake = CircleHomeo(Affine(2.0, 0.0), _normalized=True)
+    fake = CircleHomeo._trusted(Affine(2.0, 0.0))
     with pytest.raises(NotALiftError):
         cocycle_value(fake, fake)
 
@@ -136,7 +136,7 @@ def test_out_of_range_value_warns():
     # clamping
     from circledyn import CircleHomeo
     from circledyn.errors import EulerRangeWarning
-    denormalized = CircleHomeo(Translate(2.3), _normalized=True)
+    denormalized = CircleHomeo._trusted(Translate(2.3))
     with pytest.warns(EulerRangeWarning):
         euler_cocycle_table([("a", denormalized), ("b", denormalized)])
 

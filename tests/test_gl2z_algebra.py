@@ -135,3 +135,8 @@ def test_verdict_separates_inequivalent_base_irrationals():
     report = conjugacy_verdict(a, b)
     assert report.verdict is Verdict.NOT_CONJUGATE
     assert report.reason == "base irrationals are not GL(2,Z) equivalent"
+
+
+def test_mobius_apply_maps_a_rational_through_the_operators():
+    M = Gl2zMatrix(1, 2, 3, 5)     # x -> (1 + 2x) / (3 + 5x)
+    assert mobius_apply(M, Fraction(1, 2)) == Fraction(4, 11)

@@ -4,12 +4,18 @@ and every imported name is used, no module calls exec, eval or compile, and
 no module binds a second name to a function, class or constant (the one
 alias is probes._word_ball, the benchmark harness's hook).
 The README's schema table lists every expression kind.  Start-up stays
-light (no dataclasses or typing), and the value records keep the equality,
-hashing, immutability, copying and pickling of frozen dataclasses."""
+light (no dataclasses or typing).  Every class the package defines is a
+value record, an expression node, an exception or warning, or an Enum,
+apart from two private helpers (cli._JsonObject and quadirr._Parser).  The
+value records, circle maps among them, keep the equality, hashing,
+immutability, copying and pickling of frozen dataclasses, so circle actions
+built twice from the same data compare equal."""
 
 import ast
 import copy
+import enum
 import hashlib
+import importlib
 import operator
 import os
 import pickle
@@ -17,17 +23,22 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import circledyn
-from circledyn import (CfExpansion, CircleZnAction, CochainTable,
-                       CocycleTable, ConjugacyReport, ConjugacyWitness,
-                       Gl2zMatrix, GroupLaw, Identity, OrbitSample,
-                       ProbeReport, ProbeVerdict, QuadIrrational,
-                       RotationEstimate, Translate, Verdict, ZnAction,
-                       cf_expand, expr, mobius_apply)
+from circledyn import (CfExpansion, CircleHomeo, CircleZnAction,
+                       CochainTable, CocycleTable, ConjugacyReport,
+                       ConjugacyWitness, Gl2zMatrix, GroupLaw, HomeoExpr,
+                       Identity, OrbitSample, ProbeReport, ProbeVerdict,
+                       QuadIrrational, RotationEstimate, Translate, Verdict,
+                       ZnAction, build_circle_action, cf_expand, expr,
+                       mobius_apply, parse_quad_irrational,
+                       rational_class_table, rotation)
+from circledyn._record import Record
+from circledyn.cli import action_from_bundle, action_to_bundle
 
 PACKAGE = Path(circledyn.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -198,10 +209,9 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     assert done.stdout == "[]\n"
 
 
-# (class, keyword arguments naming every field in constructor order); the
-# record machinery does not look at field types, so the circle action is
-# given expression stand-ins whose == compares values
+# (class, keyword arguments naming every field in constructor order)
 RECORDS = [
+    (CircleHomeo, dict(lift=Translate(Fraction(1, 4)))),
     (GroupLaw, dict(identity=0, compose=operator.add, inverse=operator.neg)),
     (CochainTable, dict(degree=1, flavor="inhomogeneous",
                         entries={((0,),): 1})),
@@ -209,15 +219,16 @@ RECORDS = [
     (ZnAction, dict(n=1, generators=(Translate(0.5),),
                     alpha=QuadIrrational(0, 1, 2) - 1, space="line")),
     (CircleZnAction, dict(n=1, k=2, base=ZnAction(1, (Translate(0.5),)),
-                          g_word=(1,), f=Translate(0.5),
-                          generators=(Translate(0.25), Translate(0.5)),
+                          g_word=(1,), f=rotation(Fraction(1, 2)),
+                          generators=(rotation(Fraction(1, 4)),
+                                      rotation(Fraction(1, 2))),
                           marked_angles=(0.0, 0.5), space="circle")),
     (ConjugacyWitness, dict(phi=Identity(), h_word=(0, 1),
                             psi=Translate(1.0))),
     (ConjugacyReport, dict(verdict=Verdict.CONJUGATE_WITNESSED,
                            reason="witness satisfies the affine-orbit "
                                   "equation", residual=0.0)),
-    (OrbitSample, dict(points=(0.25, 0.5), radius=1, base_point=0.25)),
+    (OrbitSample, dict(base_point=0.25, radius=1, points=(0.25, 0.5))),
     (ProbeReport, dict(verdict=ProbeVerdict.SUPPORTS, coverage=1.0,
                        parameters={"radius": 2}, certificate={"word": [1]})),
     (Gl2zMatrix, dict(m1=1, n1=1, m2=1, n2=0)),
@@ -255,6 +266,41 @@ def test_value_record(cls, fields):
         assert type(twin) is cls and twin == a
 
 
+def test_circle_maps_and_actions_built_twice_are_equal():
+    # compared by identity, each pair here differed while line actions
+    # built twice were equal
+    alpha = parse_quad_irrational("sqrt(2)-1")
+    action = build_circle_action(alpha, 2, 2, (1, 0))
+    pairs = [
+        (action, build_circle_action(alpha, 2, 2, (1, 0))),
+        (action, action_from_bundle(action_to_bundle(action))),
+        (rotation(Fraction(1, 3)), rotation(Fraction(1, 3))),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
+    # a table holds its values in a dict, so it is hashed by its elements
+    a, b = rational_class_table(3, range(3)), rational_class_table(3, range(3))
+    assert a == b and hash(a.elements) == hash(b.elements)
+    assert rotation(Fraction(1, 3)) != rotation(Fraction(2, 3))
+
+
+def _classes():
+    """(module name, class) for every class statement of the package."""
+    for path in MODULES:
+        module = importlib.import_module(f"circledyn.{path.stem}")
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ClassDef):
+                yield path.stem, getattr(module, node.name)
+
+
+def test_every_class_is_a_record_node_error_or_enum():
+    # a value class outside the record model compares by identity
+    models = (Record, HomeoExpr, Exception, enum.Enum)
+    others = sorted(f"{name}.{cls.__qualname__}" for name, cls in _classes()
+                    if not issubclass(cls, models))
+    assert others == ["cli._JsonObject", "quadirr._Parser"]
+
+
 def test_records_of_different_classes_differ_on_equal_fields():
     matrix = Gl2zMatrix(1, 1, 1, 0)
     estimate = RotationEstimate(1, 1, 1, 0)
@@ -289,8 +335,14 @@ def test_record_checks_run_with_their_messages():
         Gl2zMatrix(2, 0, 0, 1)
 
 
-@pytest.mark.parametrize("cls, fields", RECORDS,
-                         ids=[cls.__name__ for cls, _ in RECORDS])
+# the records built by Record's own constructor; CircleHomeo's takes its
+# lift as an ordinary parameter, as QuadIrrational's takes its own
+BASE_INIT_RECORDS = [(cls, fields) for cls, fields in RECORDS
+                     if cls is not CircleHomeo]
+
+
+@pytest.mark.parametrize("cls, fields", BASE_INIT_RECORDS,
+                         ids=[cls.__name__ for cls, _ in BASE_INIT_RECORDS])
 def test_record_rejects_bad_fields(cls, fields):
     first, *rest = fields
     values = list(fields.values())

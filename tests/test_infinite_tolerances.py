@@ -7,7 +7,8 @@ import math
 
 import pytest
 
-from circledyn import (build_line_action, parse_quad_irrational,
+from circledyn import (Compose, Translate, build_line_action, evaluate,
+                       inverse, parse_quad_irrational, sine_lift,
                        transitivity_probe)
 from circledyn.cli import main
 
@@ -24,3 +25,15 @@ def test_cli_fixed_points_rejects_infinite_tol(capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("circledyn: tol must be positive")
+
+
+@pytest.mark.parametrize("h", [
+    inverse(sine_lift(0.3, 0.1)),
+    Compose(Translate(0.25), inverse(sine_lift(0.3, 0.1))),
+    Translate(1),
+], ids=["bisection", "compose", "closed form"])
+def test_evaluate_rejects_infinite_eps(h):
+    # approximate nodes ended in a bare OverflowError, closed forms returned
+    # a value
+    with pytest.raises(ValueError, match="^eps must be positive and finite$"):
+        evaluate(h, 0.5, math.inf)

@@ -3,17 +3,28 @@ ValueError (CLI exit 2), never silently answered or crashed on: a NaN
 compares false with everything, so every check is written to fail on it."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
-from circledyn import (Affine, PiecewiseMonotone, Translate,
-                       build_line_action, evaluate, fixed_points, inverse,
-                       parse_quad_irrational, power, project,
-                       rational_screen, sine_lift, transitivity_probe,
-                       wandering_probe)
+from circledyn import (Affine, CfExpansion, CircleZnAction, CochainTable,
+                       Compose, ConjugacyWitness, Identity, PiecewiseMonotone,
+                       Translate, UnitCellHat, ZnAction,
+                       approximate_poincare_conjugacy,
+                       build_circle_action, build_line_action, coboundary,
+                       conjugacy_verdict, evaluate, fixed_points, inverse,
+                       orbit, parse_quad_irrational, power, project,
+                       rational_class_table, rational_screen, rotation,
+                       sine_lift, transitivity_probe, wandering_probe)
 from circledyn.cli import main
+from circledyn.errors import DomainError, PrecisionError
 
 ALPHA = parse_quad_irrational("sqrt(2)-1")
+LINE = build_line_action(ALPHA, 2)
+CIRCLE = build_circle_action(ALPHA, 2, 2, (1, 0))
+#: an int past the float range, and one past the 4,300 digits that repr
+#: and str convert
+BIG, HUGE = 10**400, 10**5000
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1e-9, math.inf])
@@ -141,3 +152,95 @@ def test_svg_of_a_single_point_orbit(g2, capsys, x0):
     # the one point is drawn in the middle of a range of nonzero width
     assert svg.count("<circle") == 1
     assert '<circle cx="410.000"' in svg
+
+
+@pytest.mark.parametrize("call", [
+    lambda: evaluate(Translate(1), BIG),
+    lambda: evaluate(Translate(1), Fraction(BIG, 3)),
+    lambda: evaluate(Translate(1), -HUGE),
+    lambda: Translate(1)(BIG),
+    lambda: orbit(LINE, BIG, 1),
+], ids=["int", "fraction", "huge int", "call", "orbit"])
+def test_points_past_the_float_range_are_domain_errors(call):
+    # these ended in a bare OverflowError
+    with pytest.raises(DomainError,
+                       match="^evaluation point beyond the float range$"):
+        call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: transitivity_probe(LINE, 0.5, 0.1, 1, (0, BIG)), "window"),
+    (lambda: transitivity_probe(LINE, 0.5, 0.1, 1, (-HUGE, 0)), "window"),
+    (lambda: wandering_probe(LINE, (0, BIG), 1), "interval"),
+    (lambda: wandering_probe(LINE, (Fraction(-HUGE, 7), 0), 1), "interval"),
+], ids=["window", "huge window", "interval", "huge interval"])
+def test_probe_ends_past_the_float_range_are_refused(call, name):
+    with pytest.raises(ValueError, match=f"^{name} end beyond the float range$"):
+        call()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Affine(0, 1), ValueError, "affine scale must be positive"),
+    (lambda: Affine(-2.0, 0), ValueError, "affine scale must be positive"),
+    (lambda: PiecewiseMonotone([0.0], [0.0]), ValueError,
+     "need at least two breakpoints"),
+    (lambda: PiecewiseMonotone([0.0, 1.0], [0.0, 1.0], "quadratic"),
+     ValueError, "unknown interpolation 'quadratic'"),
+    (lambda: PiecewiseMonotone([0.0, 1.0], [0.0, 1.0], "cubic", "constant"),
+     ValueError, "unknown extension 'constant'"),
+    (lambda: Compose(Translate(1)), ValueError,
+     "compose needs at least two members"),
+    (lambda: evaluate(UnitCellHat(Translate(0.3)), 5e-16, 1e-14),
+     PrecisionError, "in the chart guard band; cannot certify accuracy"),
+    (lambda: build_circle_action(ALPHA, 2, 0, (1, 0)), ValueError,
+     "k must be at least 1"),
+    (lambda: build_circle_action(ALPHA, 2, 2, (1,)), ValueError,
+     "g_word must have length 2"),
+    (lambda: conjugacy_verdict(CIRCLE, CIRCLE,
+                               ConjugacyWitness(Identity(), (0,))),
+     ValueError, "h_word must have length 2"),
+    (lambda: transitivity_probe(LINE, 0.5, 0.1, 1, (1.0, 1.0)), ValueError,
+     "window must be a nonempty interval"),
+    (lambda: wandering_probe(LINE, (0.4, 0.2), 1), ValueError,
+     "interval must satisfy a < b"),
+    (lambda: CfExpansion([1], []), ValueError, "period must be non-empty"),
+    (lambda: CfExpansion([1, 0], [2]), ValueError,
+     "all terms except the first must be >= 1"),
+    (lambda: parse_quad_irrational("sqrt(2) $ 1"), ValueError,
+     "unexpected character '\\$'"),
+    (lambda: parse_quad_irrational("(sqrt(2) + 1"), ValueError,
+     "expected '\\)', got None"),
+    (lambda: parse_quad_irrational("(" * 2000 + "sqrt(2)" + ")" * 2000),
+     ValueError, "nests parentheses too deeply"),
+    (lambda: parse_quad_irrational("sqrt(2) 1"), ValueError,
+     "trailing input at token 1"),
+    (lambda: coboundary(CochainTable(1, "inhomogeneous", {(0,): 1})),
+     ValueError, "coboundary needs a homogeneous table"),
+    # 59 elements have 59**3 = 205,379 triples
+    (lambda: coboundary(CochainTable(1, "homogeneous",
+                                     {(i, i + 1): 0 for i in range(58)})),
+     ValueError, "coboundary tabulation would exceed the budget"),
+    (lambda: rational_class_table(0, [0]), ValueError,
+     "k must be at least 1"),
+    (lambda: approximate_poincare_conjugacy(rotation(0.3), 9), ValueError,
+     "N must be at least 10"),
+], ids=["affine scale 0", "affine scale < 0", "one breakpoint",
+        "interpolation", "extension", "one member", "hat guard band",
+        "k 0", "g_word length", "h_word length", "empty window",
+        "reversed interval", "empty period", "term 0", "character",
+        "missing paren", "deep nesting", "trailing input", "inhomogeneous",
+        "coboundary budget", "class table k 0", "N below 10"])
+def test_library_refuses_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_conjugacy_verdict_without_exact_irrationals_is_undecided():
+    bare = CircleZnAction(CIRCLE.n, CIRCLE.k,
+                          ZnAction(CIRCLE.n, CIRCLE.base.generators),
+                          CIRCLE.g_word, CIRCLE.f, CIRCLE.generators,
+                          CIRCLE.marked_angles)
+    for pair in ((CIRCLE, bare), (bare, CIRCLE)):
+        report = conjugacy_verdict(*pair)
+        assert report.verdict.value == "UNDECIDED_NEEDS_WITNESS"
+        assert report.reason == "actions lack exact irrational data"

@@ -101,6 +101,7 @@ def test_line_bundle_with_bad_generators(tmp_path, capsys, generators, message):
     ({"kind": "piecewise_monotone", "xs": [0, 0.5], "ys": [0, math.inf],
       "interpolation": "linear", "extension": "linear"},
      "breakpoints must be finite"),
+    ({"kind": "spiral"}, "unknown expression node kind 'spiral'"),
 ])
 def test_bad_file_lift(tmp_path, capsys, doc, message):
     path = _write(tmp_path / "x.json", json.dumps(doc))

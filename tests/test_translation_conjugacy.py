@@ -112,3 +112,11 @@ def test_json_round_trip_of_both_kinds(make):
         assert loaded == node and type(loaded) is type(node)
         for x in (-4.3, -0.2, 0.0, 0.55, 3.9):
             assert evaluate(loaded, x, 1e-9) == evaluate(node, x, 1e-9)
+
+
+@pytest.mark.parametrize("make", [_steep, _cubic], ids=["steep", "cubic"])
+def test_inverse_of_the_inverse_is_the_conjugacy(make):
+    h = make()
+    back = inverse(inverse(h))
+    assert back == h and type(back) is type(h)
+    assert evaluate(back, 1.3, 1e-9) == evaluate(h, 1.3, 1e-9)
