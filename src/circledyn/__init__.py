@@ -24,7 +24,7 @@ from .groups import (CircleZnAction, ConjugacyReport, ConjugacyWitness,
 from .probes import (OrbitSample, ProbeReport, ProbeVerdict, fixed_points,
                      orbit, transitivity_probe, wandering_probe)
 from .quadirr import (CfExpansion, Gl2zMatrix, QuadIrrational, cf_expand,
-                      gl2z_equivalent, golden_ratio, mobius_apply,
+                      gl2z_equivalent, mobius_apply,
                       parse_quad_irrational)
 from .rotnum import (RotationEstimate, TranslationConjugacy,
                      approximate_poincare_conjugacy, conjugate_to_translation,
@@ -46,7 +46,7 @@ __all__ = [
     "compose_all", "conjugacy_verdict", "conjugate_to_translation",
     "cyclic_group_law", "errors", "euler_cocycle_table", "evaluate",
     "expr_from_jsonable", "expr_to_jsonable", "fixed_points", "frac",
-    "gl2z_equivalent", "golden_ratio", "inverse",
+    "gl2z_equivalent", "inverse",
     "mobius_apply", "normalize_lift", "orbit", "parse_quad_irrational",
     "power", "project", "rational_class_table", "rational_screen",
     "rotation", "rotation_number", "sine_lift",

@@ -149,13 +149,19 @@ def _alpha_from_jsonable(doc) -> QuadIrrational | None:
 
 
 def action_to_bundle(action) -> dict:
-    if isinstance(action, CircleZnAction):
+    """The action's JSON bundle.  A circle bundle is rebuilt from the
+    construction's (alpha, n, k, g_word), so any other circle action, or
+    one without exact alpha, raises ValueError."""
+    if isinstance(action, CircleZnAction) and action.alpha is not None:
         return {"space": "circle", "n": action.n, "k": action.k,
                 "alpha": _alpha_jsonable(action.alpha),
                 "g_word": list(action.g_word),
                 "marked_angles": list(action.marked_angles),
                 "generators": [expr_to_jsonable(g.lift)
                                for g in action.generators]}
+    if is_circle(action):
+        raise ValueError("only the circle construction, with its exact "
+                         "alpha, has a circle bundle")
     return {"space": "line", "n": action.n,
             "alpha": _alpha_jsonable(action.alpha),
             "generators": [expr_to_jsonable(g) for g in action.generators]}

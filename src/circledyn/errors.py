@@ -33,6 +33,9 @@ class RationalRotationError(CircledynError, ValueError):
         self.q = q
         super().__init__(f"rotation number consistent with {p}/{q}")
 
+    def __reduce__(self):
+        return type(self), (self.p, self.q)
+
 
 class NotPrimitiveError(CircledynError, ValueError):
     """Word lies in the k-th power subgroup; the circle construction needs g outside it."""

@@ -14,7 +14,8 @@ the first arc equals the transplanted g.
 
 Words are integer vectors v, one exponent per generator.  `word_ball`
 lists the sup-norm word ball shell by shell; a word's code is its index
-in the lexicographic order of the whole ball (`word_of`).  Since the
+in the lexicographic order of the whole ball, the order of
+`itertools.product(range(-radius, radius + 1), repeat=rank)`.  Since the
 generators commute, the probes fill the ball one generator at a time
 instead of building each word's tree.
 """
@@ -135,18 +136,6 @@ def check_word_budget(rank: int, radius: int) -> int:
         raise BudgetExceededError(
             f"word ball of size {count} exceeds the budget {budget}")
     return count
-
-
-def word_of(code: int, rank: int, radius: int) -> tuple[int, ...]:
-    """The word whose code in the radius ball is code: the mixed-radix
-    index sum_i (v_i + radius) * (2*radius + 1)**(rank-1-i), its position
-    in the lexicographic order of the ball counted from 0."""
-    base = 2 * radius + 1
-    word = [0] * rank
-    for i in reversed(range(rank)):
-        code, digit = divmod(code, base)
-        word[i] = digit - radius
-    return tuple(word)
 
 
 def word_ball(rank: int, radius: int) -> list[tuple[int, ...]]:

@@ -10,6 +10,7 @@ INCONCLUSIVE, while wandering violations and fixed points are certified
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import warnings
 from bisect import bisect_left, bisect_right, insort
@@ -19,8 +20,7 @@ from .circle import CircleHomeo, frac, merge_circular, merge_sorted
 from .errors import NonIsolatedFixedPointsWarning
 from .expr import (BOUNDARY_DELTA, DEFAULT_EPS, UNIT_EDGES, CellHat,
                    HomeoExpr, Identity, Translate, evaluate, inverse)
-from .groups import (check_word_budget, is_circle, word_ball, word_of,
-                     word_to_homeo)
+from .groups import check_word_budget, is_circle, word_ball, word_to_homeo
 
 DEDUP_RESOLUTION = 1e-12
 #: points of an interval at which a word is checked to be the identity
@@ -340,8 +340,9 @@ def _candidates(generators, a: float, b: float, radius: int):
             found = _descent(generators, a, b, stage)
         else:
             lo, hi = _ball_bounds(generators, a, b, stage)
-            found = (word_of(code, rank, stage)
-                     for code, (low, high) in enumerate(zip(lo, hi))
+            span = range(-stage, stage + 1)
+            found = (v for v, low, high
+                     in zip(itertools.product(span, repeat=rank), lo, hi)
                      if low - eps < b and high + eps > a)
         words = [v for v in found if max(map(abs, v)) > screened]
         # by sup-norm; the sort is stable, so each shell keeps code
@@ -352,25 +353,21 @@ def _candidates(generators, a: float, b: float, radius: int):
 
 def _ball_position(v) -> int:
     """The 1-based position of word v in `word_ball` order, whatever the
-    radius: the words of smaller sup-norm s come first, then those of norm
-    s before v lexicographically."""
-    rank = len(v)
+    radius: the (2s - 1)**rank words of smaller sup-norm s come first, then
+    those of norm s before v in code order.  These are the words of the box
+    [-s, s]**rank before v, v's code there, less those of the inner box
+    [1 - s, s - 1]**rank before v."""
     s = max(map(abs, v), default=0)
     if s == 0:
         return 1
-    position = (2 * s - 1) ** rank + 1
-    on_shell = False    # a coordinate of v so far has absolute value s
-    for i, e in enumerate(v):
-        rest = rank - 1 - i
-        cube, inside = (2 * s + 1) ** rest, (2 * s - 1) ** rest
-        # the e + s digits d in [-s, e) before e, followed by any tail that
-        # puts the word on the shell; d = -s puts it there by itself
-        if on_shell:
-            position += (e + s) * cube
-        elif e > -s:
-            position += cube + (e + s - 1) * (cube - inside)
-        on_shell = on_shell or abs(e) == s
-    return position
+    box = inner = 0
+    inside = True   # v's coordinates so far lie in the inner box
+    for e in v:
+        box = box * (2 * s + 1) + e + s
+        # the inner digits d in [1 - s, s - 1] below e, while v is inside
+        inner = inner * (2 * s - 1) + (max(e + s - 1, 0) if inside else 0)
+        inside = inside and abs(e) < s
+    return (2 * s - 1) ** len(v) + box - inner + 1
 
 
 class ProbeVerdict(enum.Enum):
@@ -480,22 +477,16 @@ def _identity_on_interval(g: HomeoExpr, a: float, b: float, tol: float,
 def _violation(action, v, a: float, b: float, tol: float) -> dict | None:
     """The certificate of word v when, evaluated from its own tree, it
     overlaps (a, b) without fixing it pointwise within tol, at eps and again
-    at 10x tighter accuracy; None otherwise."""
-    eps = DEFAULT_EPS
+    at 10x tighter accuracy, whose images it carries; None otherwise."""
     g = word_to_homeo(action, v)
-    if not (evaluate(g, a, eps) < b and evaluate(g, b, eps) > a):
-        return None
-    if _identity_on_interval(g, a, b, tol, eps):
-        return None
-    # Certify the violation at 10x tighter accuracy before reporting.
-    fine = eps / 10.0
-    ga_f = evaluate(g, a, fine)
-    gb_f = evaluate(g, b, fine)
-    if not (ga_f < b and gb_f > a):
-        return None
-    if _identity_on_interval(g, a, b, tol, fine):
-        return None
-    return {"word": list(v), "image": [ga_f, gb_f]}
+    for eps in (DEFAULT_EPS, DEFAULT_EPS / 10.0):
+        ga = evaluate(g, a, eps)
+        if not ga < b:
+            return None
+        gb = evaluate(g, b, eps)
+        if not gb > a or _identity_on_interval(g, a, b, tol, eps):
+            return None
+    return {"word": list(v), "image": [ga, gb]}
 
 
 def wandering_probe(action, interval: tuple[float, float], radius: int,
@@ -507,6 +498,10 @@ def wandering_probe(action, interval: tuple[float, float], radius: int,
     which is valid because all maps are monotone.  REFUTES carries the
     violating word, re-verified at 10x tighter evaluation accuracy, and its
     coverage is the word's position in `word_ball` order over the ball size.
+    On a circle action words act through their lifts and images are
+    compared with the interval on the line, not mod 1, so the probe decides
+    wandering for the lifted action; a REFUTES image overlaps on the circle
+    too, since a line overlap projects to one.
 
     Words are screened on a lower bound of g(a) and an upper bound of g(b)
     (`_candidates`).  For the line construction and translation-only

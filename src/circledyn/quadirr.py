@@ -71,25 +71,15 @@ class QuadIrrational(Record):
             raise ValueError("d must not be a perfect square (value would be rational)")
         super().__init__(*_lowest(p, q, d, r))
 
-    @classmethod
-    def _canonical(cls, p: int, q: int, d: int, r: int) -> "QuadIrrational":
-        """The constructor for results of canonical operands: ints p, q != 0,
-        r != 0 and a square-free d >= 2.  It skips the checks and the
-        radicand split of __init__ and keeps only the sign and gcd step."""
-        return cls._trusted(*_lowest(p, q, d, r))
-
     def __repr__(self):
         return f"QuadIrrational(({self.p} + {self.q}*sqrt({self.d})) / {self.r})"
 
-    def compare_fraction(self, t: Fraction) -> int:
-        """Exact sign of self - t (never 0; the value is irrational)."""
-        return 1 if (self - Fraction(t)).floor() >= 0 else -1
-
+    # the value is irrational, so self - other is never 0
     def __lt__(self, other):
-        return self.compare_fraction(Fraction(other)) < 0
+        return (self - Fraction(other)).floor() < 0
 
     def __gt__(self, other):
-        return self.compare_fraction(Fraction(other)) > 0
+        return (self - Fraction(other)).floor() >= 0
 
     def _surd(self) -> tuple[int, int, int]:
         """(P, D, Q) with self = (P + sqrt(D)) / Q."""
@@ -125,7 +115,7 @@ class QuadIrrational(Record):
         return _combine(other, -self, "+")
 
     def __neg__(self):
-        return QuadIrrational._canonical(-self.p, -self.q, self.d, self.r)
+        return QuadIrrational(-self.p, -self.q, self.d, self.r)
 
     def __mul__(self, other):
         return _combine(self, other, "*")
@@ -174,12 +164,7 @@ def _combine(x, y, op: str):
         p, q = a * s + c * r, b * s + e * r
     else:
         p, q = a * c + b * e * d, a * e + b * c
-    return QuadIrrational._canonical(p, q, d, r * s) if q else Fraction(p, r * s)
-
-
-def golden_ratio() -> QuadIrrational:
-    """(1 + sqrt(5)) / 2, the fixed point of x -> 1 + 1/x."""
-    return QuadIrrational(1, 1, 5, 2)
+    return QuadIrrational(p, q, d, r * s) if q else Fraction(p, r * s)
 
 
 class Gl2zMatrix(Record):
@@ -222,15 +207,18 @@ def mobius_apply(M: Gl2zMatrix, x: QuadIrrational) -> QuadIrrational:
     for a = m1*r + n1*p, b = n1*q, c = m2*r + n2*p, e = n2*q, which is
     (a*c - b*e*d + (b*c - a*e)*sqrt(d)) / (c*c - e*e*d).  The sqrt(d)
     coefficient b*c - a*e = -q*r*det is nonzero, and so is the norm
-    c*c - e*e*d: m2 + n2*x = 0 would need m2 = n2 = 0.  A rational x goes
-    through the operators."""
+    c*c - e*e*d: m2 + n2*x = 0 would need m2 = n2 = 0.  A rational x, an
+    int taken as a Fraction, goes through the operators; a float x keeps
+    float arithmetic."""
+    if isinstance(x, int):
+        x = Fraction(x)
     if not isinstance(x, QuadIrrational):
         return (M.m1 + M.n1 * x) / (M.m2 + M.n2 * x)
     p, q, d, r = x.p, x.q, x.d, x.r
     a, c = M.m1 * r + M.n1 * p, M.m2 * r + M.n2 * p
     b, e = M.n1 * q, M.n2 * q
-    return QuadIrrational._canonical(a * c - b * e * d, b * c - a * e, d,
-                                     c * c - e * e * d)
+    return QuadIrrational(a * c - b * e * d, b * c - a * e, d,
+                          c * c - e * e * d)
 
 
 class CfExpansion(Record):
@@ -438,7 +426,7 @@ class _Parser:
             return Fraction(root) if root * root == d else QuadIrrational(0, 1, d)
         if tok == "golden":
             self.take()
-            return golden_ratio()
+            return QuadIrrational(1, 1, 5, 2)
         if tok == "(":
             self.take()
             inner = self.parse_expr()

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from circledyn import (CfExpansion, Gl2zMatrix, QuadIrrational, Verdict,
                        build_circle_action, cf_expand, conjugacy_verdict,
-                       gl2z_equivalent, golden_ratio, mobius_apply)
+                       gl2z_equivalent, mobius_apply)
 
 IDENTITY = Gl2zMatrix(0, 1, 1, 0)
 RADICANDS = (2, 3, 5, 6, 7, 10, 13, 19, 21)
@@ -124,13 +124,13 @@ def test_period_lengths_differ():
 
 def test_no_rotation_of_the_period_matches():
     root5 = QuadIrrational(0, 1, 5)
-    assert cf_expand(golden_ratio()).period == (1,)
+    assert cf_expand(QuadIrrational(1, 1, 5, 2)).period == (1,)
     assert cf_expand(root5) == CfExpansion([2], [4])
-    assert gl2z_equivalent(golden_ratio(), root5) == (False, None)
+    assert gl2z_equivalent(QuadIrrational(1, 1, 5, 2), root5) == (False, None)
 
 
 def test_verdict_separates_inequivalent_base_irrationals():
-    a = build_circle_action(golden_ratio() - 1, 2, 2, (1, 0))
+    a = build_circle_action(QuadIrrational(1, 1, 5, 2) - 1, 2, 2, (1, 0))
     b = build_circle_action(QuadIrrational(0, 1, 5) - 2, 2, 2, (1, 0))
     report = conjugacy_verdict(a, b)
     assert report.verdict is Verdict.NOT_CONJUGATE
@@ -140,3 +140,9 @@ def test_verdict_separates_inequivalent_base_irrationals():
 def test_mobius_apply_maps_a_rational_through_the_operators():
     M = Gl2zMatrix(1, 2, 3, 5)     # x -> (1 + 2x) / (3 + 5x)
     assert mobius_apply(M, Fraction(1, 2)) == Fraction(4, 11)
+    # an int is taken as a Fraction, not divided as a float
+    for M, x, image in ((Gl2zMatrix(0, 1, 1, 0), 7, Fraction(7)),
+                        (Gl2zMatrix(1, 1, 0, 1), 3, Fraction(4, 3))):
+        result = mobius_apply(M, x)
+        assert type(result) is Fraction and result == image
+    assert mobius_apply(Gl2zMatrix(1, 1, 0, 1), 3.0) == 4.0 / 3.0

@@ -9,7 +9,8 @@ value record, an expression node, an exception or warning, or an Enum,
 apart from two private helpers (cli._JsonObject and quadirr._Parser).  The
 value records, circle maps among them, keep the equality, hashing,
 immutability, copying and pickling of frozen dataclasses, so circle actions
-built twice from the same data compare equal."""
+built twice from the same data compare equal.  Every exception and warning
+survives pickling, so it can cross a process boundary."""
 
 import ast
 import copy
@@ -36,7 +37,7 @@ from circledyn import (CfExpansion, CircleHomeo, CircleZnAction,
                        QuadIrrational, RotationEstimate, Translate, Verdict,
                        ZnAction, build_circle_action, cf_expand, expr,
                        mobius_apply, parse_quad_irrational,
-                       rational_class_table, rotation)
+                       errors, rational_class_table, rotation)
 from circledyn._record import Record
 from circledyn.cli import action_from_bundle, action_to_bundle
 
@@ -404,3 +405,17 @@ def test_irrationals_are_frozen_records(value):
         assert type(twin) is type(value)
         assert twin == value and hash(twin) == hash(value)
         assert repr(twin) == repr(value)
+
+
+@pytest.mark.parametrize("cls", sorted(
+    (c for c in vars(errors).values()
+     if isinstance(c, type) and c.__module__ == errors.__name__),
+    key=lambda c: c.__name__), ids=lambda c: c.__name__)
+def test_errors_survive_pickling(cls):
+    rational = cls is errors.RationalRotationError
+    error = cls(1, 2) if rational else cls("message")
+    twin = pickle.loads(pickle.dumps(error))
+    assert type(twin) is cls and str(twin) == str(error)
+    assert twin.args == error.args
+    if rational:
+        assert (twin.p, twin.q) == (1, 2)

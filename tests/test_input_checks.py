@@ -16,7 +16,7 @@ from circledyn import (Affine, CfExpansion, CircleZnAction, CochainTable,
                        orbit, parse_quad_irrational, power, project,
                        rational_class_table, rational_screen, rotation,
                        sine_lift, transitivity_probe, wandering_probe)
-from circledyn.cli import main
+from circledyn.cli import action_to_bundle, main
 from circledyn.errors import DomainError, PrecisionError
 
 ALPHA = parse_quad_irrational("sqrt(2)-1")
@@ -224,12 +224,23 @@ def test_probe_ends_past_the_float_range_are_refused(call, name):
      "k must be at least 1"),
     (lambda: approximate_poincare_conjugacy(rotation(0.3), 9), ValueError,
      "N must be at least 10"),
+    # saved as a line bundle, it came back a line action, whose orbit of
+    # 0.5 under the quarter translation kept 1.0 beside 0.0
+    (lambda: action_to_bundle(ZnAction(n=1, generators=(Translate(0.25),),
+                                       space="circle")),
+     ValueError, "only the circle construction, with its exact alpha"),
+    # saved with a null alpha, which no bundle is read back with
+    (lambda: action_to_bundle(CircleZnAction(
+        CIRCLE.n, CIRCLE.k, ZnAction(CIRCLE.n, CIRCLE.base.generators),
+        CIRCLE.g_word, CIRCLE.f, CIRCLE.generators, CIRCLE.marked_angles)),
+     ValueError, "only the circle construction, with its exact alpha"),
 ], ids=["affine scale 0", "affine scale < 0", "one breakpoint",
         "interpolation", "extension", "one member", "hat guard band",
         "k 0", "g_word length", "h_word length", "empty window",
         "reversed interval", "empty period", "term 0", "character",
         "missing paren", "deep nesting", "trailing input", "inhomogeneous",
-        "coboundary budget", "class table k 0", "N below 10"])
+        "coboundary budget", "class table k 0", "N below 10",
+        "circle bundle", "circle bundle without alpha"])
 def test_library_refuses_bad_input(call, error, message):
     with pytest.raises(error, match=message):
         call()

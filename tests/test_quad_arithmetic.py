@@ -11,8 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from circledyn import (Gl2zMatrix, QuadIrrational, golden_ratio,
-                       mobius_apply, parse_quad_irrational)
+from circledyn import (Gl2zMatrix, QuadIrrational, mobius_apply,
+                       parse_quad_irrational)
 from circledyn.quadirr import MAX_RADICAND
 
 pytest.importorskip("hypothesis")
@@ -120,7 +120,8 @@ def test_irrationals_over_one_radicand_combine():
     assert a + b == QuadIrrational(1, 11, 3, 5)
     assert a * b == QuadIrrational(2, -7, 3, 5)
     assert (a * b) / b == a
-    assert golden_ratio() * golden_ratio() == golden_ratio() + 1
+    golden = QuadIrrational(1, 1, 5, 2)
+    assert golden * golden == golden + 1
 
 
 def test_mixed_radicands_and_foreign_types_are_refused():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from circledyn import (CfExpansion, Gl2zMatrix, QuadIrrational, cf_expand,
-                       gl2z_equivalent, golden_ratio, mobius_apply,
+                       gl2z_equivalent, mobius_apply,
                        parse_quad_irrational)
 
 SQRT2M1 = QuadIrrational(-1, 1, 2)      # sqrt(2) - 1
@@ -168,7 +168,7 @@ def test_parser():
     assert parse_quad_irrational("(0+1*sqrt(2))/1 - 1") == SQRT2M1
     assert parse_quad_irrational("(sqrt(5)-1)/2") == GOLDEN_CONJ
     assert parse_quad_irrational("golden - 1") == GOLDEN_CONJ
-    assert parse_quad_irrational("golden") == golden_ratio()
+    assert parse_quad_irrational("golden") == QuadIrrational(1, 1, 5, 2)
     assert parse_quad_irrational("2*sqrt(3)/3") == QuadIrrational(0, 2, 3, 3)
     assert parse_quad_irrational("1/(1+sqrt(2))") == SQRT2M1
     with pytest.raises(ValueError):

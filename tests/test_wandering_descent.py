@@ -17,7 +17,6 @@ from circledyn import (Translate, ZnAction, build_line_action, evaluate,
 from circledyn import probes
 from circledyn.cli import main
 from circledyn.expr import DEFAULT_EPS
-from circledyn.groups import word_of
 from circledyn.probes import ProbeVerdict
 
 ALPHA = parse_quad_irrational("sqrt(2)-1")
@@ -65,8 +64,9 @@ def _scan(generators, a, b, radius):
     """The words of the whole-ball scan: bounds from `_ball_bounds` that do
     not lie eps clear of (a, b)."""
     lo, hi = probes._ball_bounds(generators, a, b, radius)
-    return [word_of(code, len(generators), radius)
-            for code, (low, high) in enumerate(zip(lo, hi))
+    span = range(-radius, radius + 1)
+    return [v for v, low, high
+            in zip(itertools.product(span, repeat=len(generators)), lo, hi)
             if low - EPS < b and high + EPS > a]
 
 
@@ -158,11 +158,13 @@ def test_descend_keeps_a_word_one_ulp_inside_its_target(name):
     rng = random.Random(f"ulp {name}")
     points = [rng.uniform(-3.0, 3.0) for _ in range(6)]
     points += [0.0, 1 - 1e-12, 1e-16, 1 - 1e-16, -1e-17, 1e3 + 0.37, 1e16]
+    span = range(-radius, radius + 1)
+    words = list(itertools.product(span, repeat=len(generators)))
     for xa, xb in zip(points, points[1:] + points[:1]):
         at_a = probes._level_values(generators, xa, radius)
         at_b = probes._level_values(generators, xb, radius)
         for code in rng.sample(range(len(at_a)), 40):
             hi = math.nextafter(at_a[code], math.inf)
             lo = math.nextafter(at_b[code], -math.inf)
-            words = probes._descend(generators, xa, xb, lo, hi, radius)
-            assert word_of(code, len(generators), radius) in words, (xa, xb)
+            kept = probes._descend(generators, xa, xb, lo, hi, radius)
+            assert words[code] in kept, (xa, xb)

@@ -212,7 +212,8 @@ def test_refuted_interval_bounds_only_the_first_ball(monkeypatch):
     assert radii == [1, 2, 5]
 
 
-@pytest.mark.parametrize("rank,radius", [(1, 4), (2, 4), (3, 3), (4, 2)])
+@pytest.mark.parametrize("rank,radius", [(1, 4), (2, 4), (3, 3), (4, 2),
+                                         (5, 3), (3, 0)])
 def test_ball_position_is_the_word_ball_order(rank, radius):
     for position, v in enumerate(word_ball(rank, radius), start=1):
         assert probes._ball_position(v) == position
