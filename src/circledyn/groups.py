@@ -196,6 +196,31 @@ def build_circle_action(alpha: QuadIrrational, n: int, k: int,
                           generators=sigma_bars + (f,), marked_angles=marked)
 
 
+def _arc_edges(action) -> tuple | None:
+    """The arc edges (0, 1/k, ..., 1) of a circle action whose lifts are
+    those `build_circle_action` makes with k >= 2: every sigma_bar_i lifts
+    to `CellHat(base generator i, edges)`, and f to a `CellHat` on the
+    arcs (1/k, 2/k) after the translation by 1/k, so f's lift carries each
+    arc (i/k, (i+1)/k) onto the next.  None for any other action."""
+    if not isinstance(action, CircleZnAction) or action.k < 2:
+        return None
+    k = action.k
+    edges = tuple(i / k for i in range(k + 1))
+    *sigma_bars, f = action.generators
+    base = action.base.generators
+    if len(sigma_bars) != len(base) or not all(
+            type(s.lift) is CellHat and s.lift.edges == edges
+            and s.lift.inner == g for s, g in zip(sigma_bars, base)):
+        return None
+    lift = f.lift
+    if not (type(lift) is Compose and len(lift.members) == 2
+            and type(lift.members[0]) is CellHat
+            and lift.members[0].edges == edges[1:3]
+            and lift.members[1] == Translate(Fraction(1, k))):
+        return None
+    return edges
+
+
 class Verdict(enum.Enum):
     NOT_CONJUGATE = "NOT_CONJUGATE"
     CONJUGATE_WITNESSED = "CONJUGATE_WITNESSED"

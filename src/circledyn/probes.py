@@ -20,7 +20,8 @@ from .circle import CircleHomeo, frac, merge_circular, merge_sorted
 from .errors import NonIsolatedFixedPointsWarning
 from .expr import (BOUNDARY_DELTA, DEFAULT_EPS, UNIT_EDGES, CellHat,
                    HomeoExpr, Identity, Translate, evaluate, inverse)
-from .groups import check_word_budget, is_circle, word_ball, word_to_homeo
+from .groups import (_arc_edges, check_word_budget, is_circle, word_ball,
+                     word_to_homeo)
 
 DEDUP_RESOLUTION = 1e-12
 #: points of an interval at which a word is checked to be the identity
@@ -215,12 +216,86 @@ def _descent(generators, a: float, b: float, radius: int) -> list:
     (`_closed_form`) whose values at a and at b, as `_level_values`
     computes them, may come within `_ball_bounds`' margin and eps of
     (a, b), in code order: a superset of the words that the whole-ball
-    scan keeps, found without filling the ball (`_descend`).  The margin
-    is taken at `_scale`, which bounds the scan's, with two ulps more for
-    the rounding of the scan's comparisons."""
-    ulp = math.ulp(_scale(generators, a, b, radius))
-    margin = 2 * DEFAULT_EPS + (LEVEL_ULPS * len(generators) + 2) * ulp
+    scan keeps, found without filling the ball (`_descend`)."""
+    margin = _margin(generators, a, b, radius)
     return _descend(generators, a, b, a - margin, b + margin, radius)
+
+
+def _margin(generators, xa: float, xb: float, radius: int) -> float:
+    """`_descent`'s margin for the ball at xa and xb: eps for the screen,
+    and `_ball_bounds`' closed-form margin taken at `_scale`, which bounds
+    the scan's, with two ulps more for the rounding of the scan's
+    comparisons."""
+    ulp = math.ulp(_scale(generators, xa, xb, radius))
+    return 2 * DEFAULT_EPS + (LEVEL_ULPS * len(generators) + 2) * ulp
+
+
+def _arc_chart(action, a: float, b: float, radius: int):
+    """(a, b) pulled back through the chart of its arc of the circle
+    construction (`groups._arc_edges`), as (ya, yb, bottom, top) for
+    `_arc_descent`; None for any other action, and for an interval that
+    crosses a wall of the arcs or comes within clear of one.
+
+    The arc (lo + m, lo + m + width) and the chart coordinates ua and ub
+    of a and b are found as the transplanted generators' `CellHat._eval`
+    finds them, so ya and yb are the points a word's first transplant
+    pulls back.  bottom and top are a - eps and b + eps pulled back, each
+    rounded outward in the chart by 2 d, d = LEVEL_ULPS ulps of the ball's
+    scale over the arc's width: that covers the rounding of the subtraction
+    and the division, and the chart's own rounding of an argument that
+    has moved by far more than its ulp.
+
+    clear = (2 * rank * radius + 1) * (eps + LEVEL_ULPS * ulp(scale)), the
+    scale being twice the largest magnitude a value of the ball can take
+    (a circle word moves a point by less than radius + 1).  A word with a
+    non-zero exponent w of f maps the arc onto arc J + w, its walls drifting
+    by about an ulp per f step, so its image lies beyond both of the
+    interval's clearances; a stepped bound errs by at most 2 eps per step
+    (its widening and the evaluation's own eps), a word of the ball takes
+    at most rank * radius steps, and next to a wall every map of the
+    construction has slope about 1.  So neither `_violation` nor the stepped
+    screen keeps such a word, and the arc's descent leaves them all out.
+    """
+    edges = _arc_edges(action)
+    if edges is None:
+        return None
+    i = bisect_right(edges, a - math.floor(a), 1, len(edges) - 1) - 1
+    lo, width = edges[i], edges[i + 1] - edges[i]
+    da = a - lo
+    m = math.floor(da)
+    ua, ub = (da - m) / width, ((b - lo) - m) / width
+    ulp = math.ulp(2.0 * (max(1.0, abs(a), abs(b)) + radius + 1.0))
+    clear = ((2 * len(action.generators) * radius + 1)
+             * (DEFAULT_EPS + LEVEL_ULPS * ulp) / width)
+    if not (clear <= ua and ub <= 1.0 - clear):
+        return None
+    low, d = lo + m, LEVEL_ULPS * ulp / width
+    bottom = _chart((a - DEFAULT_EPS - low) / width - 2 * d)
+    top = _chart((b + DEFAULT_EPS - low) / width + 2 * d)
+    return _pull_back(ua), _pull_back(ub), bottom, top
+
+
+def _arc_descent(generators, ya: float, yb: float, bottom: float,
+                 top: float, radius: int) -> list:
+    """The words (v, 0) of the circle construction's radius ball, v a word
+    of the base generators, whose image of an interval on one arc may come
+    within eps of it, in code order, found by `_descend` on the pulled-back
+    interval (`_arc_chart`) with `_descent`'s margin at the pulled-back
+    scale.
+
+    The sigma_bar lifts fix every wall, and (v, 0) acts on the arc as the
+    base word transplanted by the chart: x -> lo + m + width *
+    hbar(g_v(hbar^-1(u))).  `_violation` keeps a word only when its image,
+    evaluated at eps and again at eps/10, overlaps (a, b), so its exact
+    image comes within eps/10 of (a, b), 0.9 eps inside (a - eps, b + eps).
+    That target is pulled back rounded outward, and widened in the chart
+    by `_margin`, as for the line, for the rounding of the descent's
+    values, so the descent keeps every such word.  Words with a non-zero
+    exponent of f leave the arc (`_arc_chart`).
+    """
+    margin = _margin(generators, ya, yb, radius)
+    return [v + (0,) for v in _descend(generators, ya, yb, bottom - margin,
+                                       top + margin, radius)]
 
 
 def _scale(generators, xa: float, xb: float, radius: int) -> float:
@@ -322,22 +397,28 @@ def _translation_words(amounts, xa: float, xb: float, lo: float, hi: float,
     return prefixes
 
 
-def _candidates(generators, a: float, b: float, radius: int):
+def _candidates(action, a: float, b: float, radius: int):
     """The words of the radius ball but the zero word, in `word_ball` order,
     whose bounds lo_v <= g_v(a) and g_v(b) <= hi_v on the exact images
-    (`_ball_bounds`) do not lie eps clear of (a, b), or for closed-form
-    generators a few more (`_descent`).  Direct evaluation lies within eps
-    of the exact image, so it could not overlap (a, b) for any other word.
-    The balls of SCREEN_RADII are screened first and then the full ball,
-    each stage adding its new shells' candidates.
+    (`_ball_bounds`) do not lie eps clear of (a, b), or a few more where
+    the screen descends: for closed-form generators (`_descent`), and for
+    the circle construction on an interval inside one arc, clear of its
+    walls (`_arc_descent`).  Direct evaluation lies within eps of the exact
+    image, so it could not overlap (a, b) for any other word.  The balls of
+    SCREEN_RADII are screened first and then the full ball, each stage
+    adding its new shells' candidates.
     """
     eps = DEFAULT_EPS
+    generators = action.generators
     rank = len(generators)
     closed = _closed_form(generators)
+    chart = None if closed else _arc_chart(action, a, b, radius)
     screened = 0
     for stage in sorted({min(r, radius) for r in SCREEN_RADII} | {radius}):
         if closed:
             found = _descent(generators, a, b, stage)
+        elif chart is not None:
+            found = _arc_descent(action.base.generators, *chart, stage)
         else:
             lo, hi = _ball_bounds(generators, a, b, stage)
             span = range(-stage, stage + 1)
@@ -509,8 +590,14 @@ def wandering_probe(action, interval: tuple[float, float], radius: int,
     few shifts of the first generator whose cells meet the interval are
     kept, the interval is pulled back through the chart for each, and the
     translations at the bottom solve their ranges directly, with margins of
-    eps and LEVEL_ULPS ulps per level, so the ball is never filled.  Other
-    actions are bounded by stepped values widened by eps per step
+    eps and LEVEL_ULPS ulps per level, so the ball is never filled.  For
+    the circle construction with k >= 2 on an interval inside one arc,
+    clear of its walls, only the words with no f can overlap it (f's lift
+    carries each arc onto the next), and these act on the arc as the line
+    words transplanted by its chart, so the interval is pulled back
+    through the chart and the line words descend there (`_arc_descent`).
+    Other actions and intervals, a circle interval on or across a marked
+    point among them, are bounded by stepped values widened by eps per step
     (`_ball_bounds`).  The balls of radius 1 and 2 are screened before the
     full ball, so an interval refuted in the first shells never reaches
     it.  A word screened out could not overlap the interval under direct
@@ -530,7 +617,7 @@ def wandering_probe(action, interval: tuple[float, float], radius: int,
     for x in (a, b):
         evaluate(Identity(), x, DEFAULT_EPS)    # rejects a non-finite endpoint
     parameters = {"interval": [a, b], "radius": radius, "tol": tol}
-    for v in _candidates(action.generators, a, b, radius):
+    for v in _candidates(action, a, b, radius):
         certificate = _violation(action, v, a, b, tol)
         if certificate is not None:
             return ProbeReport(

@@ -92,20 +92,30 @@ def test_stepped_bounds_hold_for_every_word(spec):
 
 
 def test_circle_screen_bounds_the_first_ball_first(monkeypatch):
-    radii = []
-    bounds = probes._ball_bounds
+    radii = {"_ball_bounds": [], "_arc_descent": []}
 
-    def spy(generators, a, b, radius):
-        radii.append(radius)
-        return bounds(generators, a, b, radius)
+    def spy(name):
+        inner = getattr(probes, name)
 
-    monkeypatch.setattr(probes, "_ball_bounds", spy)
+        def wrapper(*args):
+            radii[name].append(args[-1])
+            return inner(*args)
+        monkeypatch.setattr(probes, name, wrapper)
+
+    spy("_ball_bounds")
+    spy("_arc_descent")
     action = build_circle_action(ALPHA, 2, 2, (1, 0))
+    # b is the marked point 0.5, a wall of the arcs: the stepped screen
     assert wandering_probe(action, (0.3, 0.5), 4).verdict is \
         ProbeVerdict.REFUTES
-    assert radii == [1]
-    radii.clear()
+    assert radii == {"_ball_bounds": [1], "_arc_descent": []}
+    # inside the arc (0, 0.5): the arc's descent, in the same stages
+    radii["_ball_bounds"].clear()
     assert wandering_probe(action, (0.4137, 0.4137 + 1e-6), 4).verdict is \
         ProbeVerdict.SUPPORTS
-    assert radii == [1, 2, 4]
-
+    assert radii == {"_ball_bounds": [], "_arc_descent": [1, 2, 4]}
+    # across the marked point 0.5: the stepped screen
+    radii["_arc_descent"].clear()
+    assert wandering_probe(action, (0.5 - 1e-6, 0.5 + 1e-6), 4).verdict is \
+        ProbeVerdict.SUPPORTS
+    assert radii == {"_ball_bounds": [1, 2, 4], "_arc_descent": []}

@@ -145,6 +145,8 @@ ORACLE_CASES = {
     "circle (2,2)": (lambda: build_circle_action(ALPHA, 2, 2, (1, 0)), 3),
     "circle (2,4)": (lambda: build_circle_action(ALPHA, 2, 4, (1, 0)), 2),
     "circle (3,2)": (lambda: build_circle_action(ALPHA, 3, 2, (1, 0, 1)), 2),
+    "circle (2,3)": (lambda: build_circle_action(ALPHA, 2, 3, (1, 0)), 3),
+    "circle (2,1)": (lambda: build_circle_action(ALPHA, 2, 1, (1, 1)), 3),
 }
 
 
