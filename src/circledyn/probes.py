@@ -211,30 +211,26 @@ def _ball_bounds(generators, a: float, b: float, radius: int):
     return [x - m for x in at_a], [x + m for x in at_b]
 
 
-def _descent(generators, a: float, b: float, radius: int) -> list:
+def _descent(generators, xa: float, xb: float, lo: float, hi: float,
+             radius: int) -> list:
     """The words of the radius ball of closed-form generators
-    (`_closed_form`) whose values at a and at b, as `_level_values`
-    computes them, may come within `_ball_bounds`' margin and eps of
-    (a, b), in code order: a superset of the words that the whole-ball
-    scan keeps, found without filling the ball (`_descend`)."""
-    margin = _margin(generators, a, b, radius)
-    return _descend(generators, a, b, a - margin, b + margin, radius)
-
-
-def _margin(generators, xa: float, xb: float, radius: int) -> float:
-    """`_descent`'s margin for the ball at xa and xb: eps for the screen,
-    and `_ball_bounds`' closed-form margin taken at `_scale`, which bounds
-    the scan's, with two ulps more for the rounding of the scan's
-    comparisons."""
+    (`_closed_form`) whose values at xa and at xb, as `_level_values`
+    computes them, may come within a margin of (lo, hi), in code order,
+    found without filling the ball (`_descend`): the line's interval at
+    its ends, or one arc's pulled back through its chart (`_arc_chart`).
+    The margin, eps and `_ball_bounds`' closed-form margin at `_scale` with
+    two ulps more for the scan's comparisons, keeps every word the
+    whole-ball scan keeps."""
     ulp = math.ulp(_scale(generators, xa, xb, radius))
-    return 2 * DEFAULT_EPS + (LEVEL_ULPS * len(generators) + 2) * ulp
+    margin = 2 * DEFAULT_EPS + (LEVEL_ULPS * len(generators) + 2) * ulp
+    return _descend(generators, xa, xb, lo - margin, hi + margin, radius)
 
 
 def _arc_chart(action, a: float, b: float, radius: int):
     """(a, b) pulled back through the chart of its arc of the circle
-    construction (`groups._arc_edges`), as (ya, yb, bottom, top) for
-    `_arc_descent`; None for any other action, and for an interval that
-    crosses a wall of the arcs or comes within clear of one.
+    construction (`groups._arc_edges`), as `_descent`'s (base generators,
+    ya, yb, bottom, top); None for any other action, and for an interval
+    that crosses a wall of the arcs or comes within clear of one.
 
     The arc (lo + m, lo + m + width) and the chart coordinates ua and ub
     of a and b are found as the transplanted generators' `CellHat._eval`
@@ -244,6 +240,15 @@ def _arc_chart(action, a: float, b: float, radius: int):
     scale over the arc's width: that covers the rounding of the subtraction
     and the division, and the chart's own rounding of an argument that
     has moved by far more than its ulp.
+
+    The sigma_bar lifts fix every wall, and (v, 0) acts on the arc as the
+    base word transplanted by the chart: x -> lo + m + width *
+    hbar(g_v(hbar^-1(u))).  `_violation` keeps a word only when its image,
+    evaluated at eps and again at eps/10, overlaps (a, b), so its exact
+    image comes within eps/10 of (a, b), 0.9 eps inside (a - eps, b + eps).
+    That target is pulled back rounded outward, and `_descent` widens it in
+    the chart by its margin, as for the line, for the rounding of the
+    descent's values, so the descent keeps every such word.
 
     clear = (2 * rank * radius + 1) * (eps + LEVEL_ULPS * ulp(scale)), the
     scale being twice the largest magnitude a value of the ball can take
@@ -272,30 +277,8 @@ def _arc_chart(action, a: float, b: float, radius: int):
     low, d = lo + m, LEVEL_ULPS * ulp / width
     bottom = _chart((a - DEFAULT_EPS - low) / width - 2 * d)
     top = _chart((b + DEFAULT_EPS - low) / width + 2 * d)
-    return _pull_back(ua), _pull_back(ub), bottom, top
-
-
-def _arc_descent(generators, ya: float, yb: float, bottom: float,
-                 top: float, radius: int) -> list:
-    """The words (v, 0) of the circle construction's radius ball, v a word
-    of the base generators, whose image of an interval on one arc may come
-    within eps of it, in code order, found by `_descend` on the pulled-back
-    interval (`_arc_chart`) with `_descent`'s margin at the pulled-back
-    scale.
-
-    The sigma_bar lifts fix every wall, and (v, 0) acts on the arc as the
-    base word transplanted by the chart: x -> lo + m + width *
-    hbar(g_v(hbar^-1(u))).  `_violation` keeps a word only when its image,
-    evaluated at eps and again at eps/10, overlaps (a, b), so its exact
-    image comes within eps/10 of (a, b), 0.9 eps inside (a - eps, b + eps).
-    That target is pulled back rounded outward, and widened in the chart
-    by `_margin`, as for the line, for the rounding of the descent's
-    values, so the descent keeps every such word.  Words with a non-zero
-    exponent of f leave the arc (`_arc_chart`).
-    """
-    margin = _margin(generators, ya, yb, radius)
-    return [v + (0,) for v in _descend(generators, ya, yb, bottom - margin,
-                                       top + margin, radius)]
+    return (action.base.generators, _pull_back(ua), _pull_back(ub),
+            bottom, top)
 
 
 def _scale(generators, xa: float, xb: float, radius: int) -> float:
@@ -401,24 +384,24 @@ def _candidates(action, a: float, b: float, radius: int):
     """The words of the radius ball but the zero word, in `word_ball` order,
     whose bounds lo_v <= g_v(a) and g_v(b) <= hi_v on the exact images
     (`_ball_bounds`) do not lie eps clear of (a, b), or a few more where
-    the screen descends: for closed-form generators (`_descent`), and for
-    the circle construction on an interval inside one arc, clear of its
-    walls (`_arc_descent`).  Direct evaluation lies within eps of the exact
-    image, so it could not overlap (a, b) for any other word.  The balls of
-    SCREEN_RADII are screened first and then the full ball, each stage
-    adding its new shells' candidates.
+    the screen descends (`_descent`): for closed-form generators, and for
+    the circle construction's words (v, 0) on an interval inside one arc,
+    clear of its walls (`_arc_chart`).  Direct evaluation lies within eps
+    of the exact image, so it could not overlap (a, b) for any other word.
+    The balls of SCREEN_RADII are screened first and then the full ball,
+    each stage adding its new shells' candidates.
     """
     eps = DEFAULT_EPS
     generators = action.generators
     rank = len(generators)
-    closed = _closed_form(generators)
-    chart = None if closed else _arc_chart(action, a, b, radius)
+    if _closed_form(generators):
+        target, suffix = (generators, a, b, a, b), ()
+    else:
+        target, suffix = _arc_chart(action, a, b, radius), (0,)
     screened = 0
     for stage in sorted({min(r, radius) for r in SCREEN_RADII} | {radius}):
-        if closed:
-            found = _descent(generators, a, b, stage)
-        elif chart is not None:
-            found = _arc_descent(action.base.generators, *chart, stage)
+        if target is not None:
+            found = (v + suffix for v in _descent(*target, stage))
         else:
             lo, hi = _ball_bounds(generators, a, b, stage)
             span = range(-stage, stage + 1)
@@ -585,19 +568,19 @@ def wandering_probe(action, interval: tuple[float, float], radius: int,
     too, since a line overlap projects to one.
 
     Words are screened on a lower bound of g(a) and an upper bound of g(b)
-    (`_candidates`).  For the line construction and translation-only
-    actions the screen descends through the levels (`_descent`): only the
-    few shifts of the first generator whose cells meet the interval are
-    kept, the interval is pulled back through the chart for each, and the
+    (`_candidates`).  One descent through the levels (`_descent`) serves
+    the line construction and translation-only actions: only the few
+    shifts of the first generator whose cells meet the interval are kept,
+    the interval is pulled back through the chart for each, and the
     translations at the bottom solve their ranges directly, with margins of
-    eps and LEVEL_ULPS ulps per level, so the ball is never filled.  For
-    the circle construction with k >= 2 on an interval inside one arc,
-    clear of its walls, only the words with no f can overlap it (f's lift
-    carries each arc onto the next), and these act on the arc as the line
-    words transplanted by its chart, so the interval is pulled back
-    through the chart and the line words descend there (`_arc_descent`).
-    Other actions and intervals, a circle interval on or across a marked
-    point among them, are bounded by stepped values widened by eps per step
+    eps and LEVEL_ULPS ulps per level, so the ball is never filled.  It
+    serves the circle construction with k >= 2 on an interval inside one
+    arc, clear of its walls, too: only the words with no f can overlap it
+    (f's lift carries each arc onto the next), and these act on the arc as
+    the line words transplanted by its chart, so the line words descend at
+    the interval pulled back through the chart (`_arc_chart`).  Other
+    actions and intervals, a circle interval on or across a marked point
+    among them, are scanned in stepped values widened by eps per step
     (`_ball_bounds`).  The balls of radius 1 and 2 are screened before the
     full ball, so an interval refuted in the first shells never reaches
     it.  A word screened out could not overlap the interval under direct

@@ -82,13 +82,12 @@ def _one_arc_intervals(action, radius, seed):
 @pytest.mark.parametrize("spec", sorted(CIRCLES))
 def test_arc_descent_keeps_every_word_the_stepped_screen_keeps(spec):
     action, radius = build_circle_action(ALPHA, *spec), CIRCLES[spec]
-    base = action.base.generators
     verdicts = set()
     for a, b in _one_arc_intervals(action, radius, f"arc {spec}"):
         chart = probes._arc_chart(action, a, b, radius)
         assert chart is not None, (a, b)
         for stage in sorted({1, 2, radius}):
-            words = probes._arc_descent(base, *chart, stage)
+            words = [v + (0,) for v in probes._descent(*chart, stage)]
             assert all(v[-1] == 0 for v in words)
             assert words == sorted(words)
             assert set(_scan(action.generators, a, b, stage)) <= set(words), \
@@ -102,10 +101,10 @@ def test_arc_descent_keeps_every_word_the_stepped_screen_keeps(spec):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Calls of the probes' word builder, evaluator, stepped bounds and arc
+    """Calls of the probes' word builder, evaluator, stepped bounds and
     descent, counted by name and reset by the test."""
     counts = {}
-    for name in ("word_to_homeo", "evaluate", "_ball_bounds", "_arc_descent"):
+    for name in ("word_to_homeo", "evaluate", "_ball_bounds", "_descent"):
         inner = getattr(probes, name)
 
         def counted(*args, _name=name, _inner=inner, **kwargs):
@@ -141,9 +140,9 @@ def test_the_fallbacks_keep_the_stepped_screen(calls):
     for spec, radius, interval in _fallbacks():
         action = build_circle_action(ALPHA, *spec)
         assert probes._arc_chart(action, *interval, radius) is None
-        calls.update(_ball_bounds=0, _arc_descent=0)
+        calls.update(_ball_bounds=0, _descent=0)
         got = wandering_probe(action, interval, radius)
-        assert calls["_ball_bounds"] >= 1 and calls["_arc_descent"] == 0
+        assert calls["_ball_bounds"] >= 1 and calls["_descent"] == 0
         want = _stepped_wandering(action, interval, radius)
         assert got.as_jsonable() == want.as_jsonable(), (spec, interval)
         verdicts.add(got.verdict)
@@ -159,7 +158,7 @@ def test_intervals_too_large_for_their_arc_keep_the_stepped_screen(calls):
         "parameters": {"interval": [1e308, 1.7e308], "radius": 2,
                        "tol": 1e-9}}
     # both stages, radius 1 and 2, are bounded by stepping
-    assert calls["_ball_bounds"] == 2 and calls["_arc_descent"] == 0
+    assert calls["_ball_bounds"] == 2 and calls["_descent"] == 0
     calls.update(_ball_bounds=0)
     report = wandering_probe(action, (-1.7e308, 1.7e308), 2)
     assert report.as_jsonable() == {
@@ -167,7 +166,7 @@ def test_intervals_too_large_for_their_arc_keep_the_stepped_screen(calls):
         "parameters": {"interval": [-1.7e308, 1.7e308], "radius": 2,
                        "tol": 1e-9},
         "certificate": {"word": [-1, -1, -1], "image": [-1.7e308, 1.7e308]}}
-    assert calls["_ball_bounds"] == 1 and calls["_arc_descent"] == 0
+    assert calls["_ball_bounds"] == 1 and calls["_descent"] == 0
 
 
 def test_narrow_one_arc_probe_on_c22_radius4_evaluates_no_word(calls):
@@ -175,13 +174,13 @@ def test_narrow_one_arc_probe_on_c22_radius4_evaluates_no_word(calls):
     action = build_circle_action(ALPHA, 2, 2, (1, 0))
     for a in (0.4137, 0.8, -0.61, 1.3):
         calls.update(word_to_homeo=0, evaluate=0, _ball_bounds=0,
-                     _arc_descent=0)
+                     _descent=0)
         report = wandering_probe(action, (a, a + 1e-6), 4)
         assert report.verdict is ProbeVerdict.SUPPORTS
         assert calls["word_to_homeo"] == 0
         assert calls["evaluate"] < 10
         assert calls["_ball_bounds"] == 0
-        assert calls["_arc_descent"] == 3
+        assert calls["_descent"] == 3
 
 
 @pytest.mark.parametrize("spec", sorted(CIRCLES))
@@ -206,6 +205,7 @@ def test_arc_descent_keeps_a_word_one_ulp_inside_the_interval(spec):
             continue
         chart = probes._arc_chart(action, a, b, radius)
         if chart is not None:
-            assert v in probes._arc_descent(base, *chart, radius), (v, a, b)
+            words = [w + (0,) for w in probes._descent(*chart, radius)]
+            assert v in words, (v, a, b)
             kept += 1
     assert kept >= 150

@@ -2,7 +2,8 @@
 is from the standard library or from circledyn itself, sits at module level,
 and every imported name is used, no module calls exec, eval or compile, and
 no module binds a second name to a function, class or constant (the one
-alias is probes._word_ball, the benchmark harness's hook).
+alias is probes._word_ball, the benchmark harness's hook), and every
+private function has a caller in the library outside its own body.
 The README's schema table lists every expression kind.  Start-up stays
 light (no dataclasses or typing).  Every class the package defines is a
 value record, an expression node, an exception or warning, or an Enum,
@@ -419,3 +420,31 @@ def test_errors_survive_pickling(cls):
     assert twin.args == error.args
     if rational:
         assert (twin.p, twin.q) == (1, 2)
+
+
+def _references(tree):
+    """(name of the module-level statement it sits in or None, referenced
+    name) for every name, attribute and imported name of the module."""
+    for statement in tree.body:
+        owner = getattr(statement, "name", None)
+        for node in ast.walk(statement):
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+                yield owner, _named(node)
+
+
+def test_every_private_function_has_a_library_caller():
+    # a retired path may not leave its helpers behind; a function that only
+    # the tests or its own body call is dead code
+    refs = {(path.stem, owner, name) for path in MODULES
+            for owner, name in _references(_tree(path))}
+    orphans = []
+    for path in MODULES:
+        for node in _tree(path).body:
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                others = {(module, owner) for module, owner, name in refs
+                          if name == node.name}
+                if not others - {(path.stem, node.name)}:
+                    orphans.append(f"{path.name}:{node.name}")
+    assert orphans == []

@@ -10,6 +10,7 @@ import random
 from circledyn import (Affine, Translate, ZnAction, build_circle_action,
                        build_line_action, orbit, parse_quad_irrational,
                        transitivity_probe, wandering_probe)
+from circledyn import probes
 from circledyn.expr import UnitCellHat
 
 ALPHA = parse_quad_irrational("sqrt(2)-1")
@@ -62,3 +63,44 @@ RECORDED_DIGEST = ("400ac383a1b1224e4d5d70b03af70f22"
 def test_probe_outputs_match_the_recorded_digest():
     text = json.dumps(_probe_outputs())
     assert hashlib.sha256(text.encode()).hexdigest() == RECORDED_DIGEST
+
+
+#: (name, action, radius) of the screen's candidate digest
+SCREENED = [
+    ("l2", build_line_action(ALPHA, 2), 8),
+    ("l3", build_line_action(ALPHA, 3), 4),
+    ("l4", build_line_action(ALPHA, 4), 3),
+    ("c22", build_circle_action(ALPHA, 2, 2, (1, 0)), 4),
+    ("c23", build_circle_action(ALPHA, 2, 3, (1, 0)), 3),
+    ("c32", build_circle_action(ALPHA, 3, 2, (1, 0, 1)), 2),
+    ("c21", build_circle_action(ALPHA, 2, 1, (1, 1)), 3),
+]
+
+#: interval widths of the candidate digest, from a few shells' worth of
+#: candidates down to far below the word spacing
+SCREEN_WIDTHS = (0.2, 0.05, 1e-3, 1e-6, 1e-10)
+
+
+def _screen_candidates():
+    out = []
+    for name, action, radius in SCREENED:
+        rng = random.Random(f"cand {name}")
+        for width in SCREEN_WIDTHS:
+            for _ in range(15):
+                a = rng.uniform(-2.0, 2.0)
+                words = list(probes._candidates(action, a, a + width, radius))
+                out.append([name, a, width, words])
+    return out
+
+
+#: sha256 of the JSON of _screen_candidates(), recorded while the line and
+#: the one-arc screens had a descent entry each (x86-64 Linux, CPython 3.11)
+RECORDED_CANDIDATES = ("9afd20e2a6ec08ea79b9ed85a3d64bdb"
+                       "576a24dc1b5ac4af12a01eedc44f4574")
+
+
+def test_screen_candidates_match_the_recorded_digest():
+    # the words the screen hands to direct evaluation, in order: a
+    # restructured screen may not add or drop one
+    text = json.dumps(_screen_candidates())
+    assert hashlib.sha256(text.encode()).hexdigest() == RECORDED_CANDIDATES

@@ -92,7 +92,7 @@ def test_stepped_bounds_hold_for_every_word(spec):
 
 
 def test_circle_screen_bounds_the_first_ball_first(monkeypatch):
-    radii = {"_ball_bounds": [], "_arc_descent": []}
+    radii = {"_ball_bounds": [], "_descent": []}
 
     def spy(name):
         inner = getattr(probes, name)
@@ -103,19 +103,19 @@ def test_circle_screen_bounds_the_first_ball_first(monkeypatch):
         monkeypatch.setattr(probes, name, wrapper)
 
     spy("_ball_bounds")
-    spy("_arc_descent")
+    spy("_descent")
     action = build_circle_action(ALPHA, 2, 2, (1, 0))
     # b is the marked point 0.5, a wall of the arcs: the stepped screen
     assert wandering_probe(action, (0.3, 0.5), 4).verdict is \
         ProbeVerdict.REFUTES
-    assert radii == {"_ball_bounds": [1], "_arc_descent": []}
+    assert radii == {"_ball_bounds": [1], "_descent": []}
     # inside the arc (0, 0.5): the arc's descent, in the same stages
     radii["_ball_bounds"].clear()
     assert wandering_probe(action, (0.4137, 0.4137 + 1e-6), 4).verdict is \
         ProbeVerdict.SUPPORTS
-    assert radii == {"_ball_bounds": [], "_arc_descent": [1, 2, 4]}
+    assert radii == {"_ball_bounds": [], "_descent": [1, 2, 4]}
     # across the marked point 0.5: the stepped screen
-    radii["_arc_descent"].clear()
+    radii["_descent"].clear()
     assert wandering_probe(action, (0.5 - 1e-6, 0.5 + 1e-6), 4).verdict is \
         ProbeVerdict.SUPPORTS
-    assert radii == {"_ball_bounds": [1, 2, 4], "_arc_descent": []}
+    assert radii == {"_ball_bounds": [1, 2, 4], "_descent": []}

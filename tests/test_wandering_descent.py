@@ -77,7 +77,7 @@ def test_descent_keeps_every_overlapping_word(name):
     trees = [(v, word_to_homeo(action, v))
              for v in itertools.product(span, repeat=action.n)]
     for a, b in _intervals(f"brute {name}"):
-        found = set(probes._descent(action.generators, a, b, radius))
+        found = set(probes._descent(action.generators, a, b, a, b, radius))
         for v, g in trees:
             if evaluate(g, a, EPS) < b and evaluate(g, b, EPS) > a:
                 assert v in found, (v, a, b)
@@ -88,7 +88,7 @@ def test_descent_contains_the_scan_in_code_order(name):
     action, radius = ACTIONS[name]
     for a, b in _intervals(f"scan {name}"):
         for stage in (1, 2, radius):
-            words = probes._descent(action.generators, a, b, stage)
+            words = probes._descent(action.generators, a, b, a, b, stage)
             assert words == sorted(set(words)), (a, b, stage)
             missed = set(_scan(action.generators, a, b, stage)) - set(words)
             assert not missed, (a, b, stage, sorted(missed)[:3])
@@ -104,8 +104,9 @@ def test_descent_equals_the_scan_on_seeded_intervals(n, radius):
         for _ in range(5):
             a = rng.uniform(0.1, 0.9)
             for stage in (1, 2, radius):
-                assert (probes._descent(generators, a, a + width, stage)
-                        == _scan(generators, a, a + width, stage))
+                b = a + width
+                assert (probes._descent(generators, a, b, a, b, stage)
+                        == _scan(generators, a, b, stage))
 
 
 def test_narrow_n4_radius5_interval_that_refutes():

@@ -200,9 +200,9 @@ def test_refuted_interval_bounds_only_the_first_ball(monkeypatch):
     radii = []
     descent = probes._descent
 
-    def spy(generators, a, b, radius):
-        radii.append(radius)
-        return descent(generators, a, b, radius)
+    def spy(*args):
+        radii.append(args[-1])
+        return descent(*args)
 
     monkeypatch.setattr(probes, "_descent", spy)
     report = wandering_probe(build_line_action(ALPHA, 4), (0.3, 0.5), 5)
