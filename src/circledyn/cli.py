@@ -341,7 +341,7 @@ def _cmd_check_equiv(args) -> tuple[str, int]:
 
 def _cmd_euler_cocycle(args) -> tuple[str, int]:
     action = action_from_bundle(_load_json(args.action))
-    if not is_circle(action):
+    if not isinstance(action, CircleZnAction):
         raise ValueError("the Euler cocycle needs a circle action bundle")
     rank = len(action.generators)
     # the table has a value for each ordered pair of the ball's words

@@ -585,16 +585,12 @@ class PiecewiseMonotone(HomeoExpr):
             # rounding leaves t below xs[0], the wrap segment from xs[-1] on,
             # even at or past the closing knot (t = 0.0 at |x| >= 2**53)
             i = bisect_right(xs, t, 1, self._segment_count) - 1
-            if t == xs[i]:
-                return ys[i] + m
         else:
             if x <= x_first:
                 return ys[0] + (x - x_first) * self._lo_slope
             if x >= self._x_last:
                 return ys[-1] + (x - self._x_last) * self._hi_slope
             i = bisect_right(xs, x) - 1
-            if x == xs[i]:
-                return ys[i]
             t = x
         segments = self._segments
         if segments is None:
@@ -613,13 +609,15 @@ class PiecewiseMonotone(HomeoExpr):
         return v + m if periodic else v
 
     def _orbit(self, y, n, eps, angles):
-        # HomeoExpr._orbit with _eval's periodic branch inlined, unless a
-        # subclass replaced _eval
-        if not self._periodic or type(self)._eval is not PiecewiseMonotone._eval:
+        # HomeoExpr._orbit with _eval's periodic cubic branch inlined; a
+        # linear or non-periodic table, and a subclass that replaced _eval,
+        # is iterated through _eval
+        segments = self._segments
+        if (not self._periodic or segments is None
+                or type(self)._eval is not PiecewiseMonotone._eval):
             return HomeoExpr._orbit(self, y, n, eps, angles)
-        xs, ys = self._knots
-        x_first, x_wrap = self._x_first, self._x_wrap
-        count, segments = self._segment_count, self._segments
+        xs = self._knots[0]
+        x_first, x_wrap, count = self._x_first, self._x_wrap, self._segment_count
         deck = 0
         for _ in range(n):
             m = floor(y - x_first)
@@ -630,19 +628,12 @@ class PiecewiseMonotone(HomeoExpr):
             elif t >= x_wrap:
                 m += 1
                 t = y - m
-            i = bisect_right(xs, t, 1, count) - 1
-            if t == xs[i]:
-                z = ys[i] + m
-            elif segments is None:
-                x0, y0 = xs[i], ys[i]
-                z = y0 + (t - x0) * (ys[i + 1] - y0) / (xs[i + 1] - x0) + m
-            else:
-                x0, h, y0, y1, hd0, hd1 = segments[i]
-                s = (t - x0) / h
-                s2 = s * s
-                s3 = s2 * s
-                z = (y0 * (2.0 * s3 - 3.0 * s2 + 1.0) + hd0 * (s3 - 2.0 * s2 + s)
-                     + y1 * (-2.0 * s3 + 3.0 * s2) + hd1 * (s3 - s2)) + m
+            x0, h, y0, y1, hd0, hd1 = segments[bisect_right(xs, t, 1, count) - 1]
+            s = (t - x0) / h
+            s2 = s * s
+            s3 = s2 * s
+            z = (y0 * (2.0 * s3 - 3.0 * s2 + 1.0) + hd0 * (s3 - 2.0 * s2 + s)
+                 + y1 * (-2.0 * s3 + 3.0 * s2) + hd1 * (s3 - s2)) + m
             m = floor(z)
             y = z - m
             if y >= 1.0:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 import os
 from fractions import Fraction
 
@@ -107,7 +108,8 @@ WITNESS_WINDOW = 2.0
 
 
 def _ball_size(rank: int, radius: int) -> int:
-    if radius < 0:
+    # operator.index refuses a radius that is not an integer, such as 1.5
+    if operator.index(radius) < 0:
         raise ValueError("radius must be nonnegative")
     return (2 * radius + 1) ** rank
 
@@ -126,8 +128,9 @@ def _word_budget() -> int:
 def check_word_budget(rank: int, radius: int) -> int:
     """The number of words of sup-norm at most radius.
 
-    Raises ValueError for a negative radius or a budget that is not an
-    integer, and BudgetExceededError for a ball larger than the word budget
+    Raises TypeError for a radius that is not an integer, ValueError for a
+    negative radius or a budget that is not an integer, and
+    BudgetExceededError for a ball larger than the word budget
     (CIRCLEDYN_WORD_BUDGET, default 10**6).
     """
     count = _ball_size(rank, radius)
@@ -141,7 +144,7 @@ def check_word_budget(rank: int, radius: int) -> int:
 def word_ball(rank: int, radius: int) -> list[tuple[int, ...]]:
     """Words with sup-norm at most radius, in graded lexicographic order:
     shell by shell, lexicographic within a shell."""
-    _ball_size(rank, radius)    # rejects a negative radius
+    _ball_size(rank, radius)    # rejects a radius that is not an integer >= 0
     span = range(-radius, radius + 1)
     # sorted is stable, so each shell keeps the product's lexicographic order
     return sorted(itertools.product(span, repeat=rank),
@@ -257,10 +260,12 @@ def conjugacy_verdict(a: CircleZnAction, b: CircleZnAction,
     supplied witness is checked against the affine-orbit equation
     psi g' psi^{-1} = phi g h^k phi^{-1} on the witness grid, and holds
     only when every residual there is finite and at most tol.  Without a
-    witness the affine-orbit condition stays undecided.  A line action, or
-    a tol that is negative, infinite or NaN, raises ValueError.
+    witness the affine-orbit condition stays undecided.  An action that is
+    not the circle construction (a line action, or a circle action of
+    translations only), or a tol that is negative, infinite or NaN, raises
+    ValueError.
     """
-    if not (is_circle(a) and is_circle(b)):
+    if not (isinstance(a, CircleZnAction) and isinstance(b, CircleZnAction)):
         raise ValueError("the conjugacy verdict needs two circle actions")
     if not 0.0 <= tol < math.inf:
         raise ValueError("tol must be nonnegative and finite")

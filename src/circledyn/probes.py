@@ -623,30 +623,23 @@ def fixed_points(f: CircleHomeo, tol: float = 1e-9) -> list[float]:
     lift = f.lift
     xs = [j / FIXED_POINT_GRID for j in range(FIXED_POINT_GRID + 1)]
     disp = [evaluate(lift, x, DEFAULT_EPS) - x for x in xs]
-    lo_m = math.floor(min(disp))
-    hi_m = math.ceil(max(disp))
     plateau_eps = 1e-13
     roots: list[float] = []
     warned = False
-    for m in range(lo_m, hi_m + 1):
+    for m in range(math.floor(min(disp)), math.ceil(max(disp)) + 1):
         vals = [d - m for d in disp]
-        j = 0
-        while j < FIXED_POINT_GRID:
+        for j in range(FIXED_POINT_GRID):
             v0, v1 = vals[j], vals[j + 1]
             if abs(v0) <= plateau_eps and abs(v1) <= plateau_eps:
                 if not warned:
                     warnings.warn("interval of fixed points detected",
                                   NonIsolatedFixedPointsWarning, stacklevel=2)
                     warned = True
-                j += 1
-                continue
-            if abs(v0) <= plateau_eps:
+            elif abs(v0) <= plateau_eps:
                 roots.append(xs[j])
-                j += 1
-                continue
-            if v0 * v1 < 0.0:
+            elif v0 * v1 < 0.0:
+                # the sign of F(x) - x - m at lo stays the sign of v0
                 lo, hi = xs[j], xs[j + 1]
-                flo = v0
                 while hi - lo > tol:
                     mid = 0.5 * (lo + hi)
                     if not lo < mid < hi:   # no float left between the ends
@@ -655,10 +648,9 @@ def fixed_points(f: CircleHomeo, tol: float = 1e-9) -> list[float]:
                     if fm == 0.0:
                         lo = hi = mid
                         break
-                    if (fm > 0.0) == (flo > 0.0):
-                        lo, flo = mid, fm
+                    if (fm > 0.0) == (v0 > 0.0):
+                        lo = mid
                     else:
                         hi = mid
                 roots.append(0.5 * (lo + hi))
-            j += 1
     return merge_circular(map(frac, roots), 2 * tol)

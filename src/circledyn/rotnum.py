@@ -16,11 +16,11 @@ the map's own orbit, and for a closed-form lift reads its defect off that
 orbit.
 
 The loop itself is the iterated node's `_orbit`.  A periodic monotone
-table and a translation run it as a fused kernel that inlines their
+cubic table and a translation run it as a fused kernel that inlines their
 `_eval` and does exactly its float operations, so estimates, angles and
 deck counts are bit-identical to one `_eval` call per step.  Every other
-node, and a subclass that replaces `_eval`, is iterated through its own
-`_eval`.
+node, a linear table and a subclass that replaces `_eval` among them, is
+iterated through its own `_eval`.
 """
 
 from __future__ import annotations
@@ -194,7 +194,12 @@ def rational_screen(value: float, bound: float,
                     q_max: int = 1000) -> tuple[int, int] | None:
     """Smallest-denominator rational p/q, q <= q_max, within bound of value
     mod 1, found by walking the Stern-Brocot tree; None when there is none.
-    A q_max below 1 raises ValueError."""
+    A value that is not finite, a bound that is negative or not finite, or
+    a q_max below 1 raises ValueError."""
+    if not math.isfinite(value):
+        raise ValueError("value must be finite")
+    if not 0.0 <= bound < math.inf:
+        raise ValueError("bound must be nonnegative and finite")
     if not q_max >= 1:
         raise ValueError("q_max must be at least 1")
     lo = value - bound

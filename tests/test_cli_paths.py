@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import circledyn
-from circledyn import orbit
+from circledyn import Translate, ZnAction, cli, orbit
 from circledyn.cli import action_from_bundle
 from test_cli import run
 
@@ -52,6 +52,17 @@ def test_circle_orbit_svg_spans_the_unit_interval(bundles, capsys):
 def test_euler_cocycle_of_a_line_bundle_exits_2(bundles, capsys):
     g2, _ = bundles
     code, out, err = run(capsys, "euler-cocycle", "--action", str(g2))
+    assert (code, out) == (2, "")
+    assert "the Euler cocycle needs a circle action bundle" in err
+
+
+def test_euler_cocycle_of_a_translation_circle_exits_2(bundles, capsys,
+                                                       monkeypatch):
+    # a circle action that is not the construction has no word_rotation
+    _, c22 = bundles
+    translations = ZnAction(n=1, generators=(Translate(0.25),), space="circle")
+    monkeypatch.setattr(cli, "action_from_bundle", lambda doc: translations)
+    code, out, err = run(capsys, "euler-cocycle", "--action", str(c22))
     assert (code, out) == (2, "")
     assert "the Euler cocycle needs a circle action bundle" in err
 

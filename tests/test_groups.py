@@ -6,7 +6,7 @@ import random
 import pytest
 
 from circledyn import (Affine, Compose, ConjugacyWitness, HBar, HBarInv,
-                       Identity, Translate, UnitCellHat, Verdict,
+                       Identity, Translate, UnitCellHat, Verdict, ZnAction,
                        build_circle_action, build_line_action, compose_all,
                        conjugacy_verdict, evaluate, inverse, mobius_apply,
                        parse_quad_irrational, word_to_homeo, Gl2zMatrix)
@@ -190,6 +190,12 @@ def test_verdict_rejects_a_line_action(line_first):
     circle = build_circle_action(ALPHA, 2, 2, (1, 0))
     line = build_line_action(ALPHA, 2)
     pair = (line, circle) if line_first else (circle, line)
+    with pytest.raises(ValueError, match="needs two circle actions"):
+        conjugacy_verdict(*pair)
+    # a circle action that is not the construction raised AttributeError
+    # on its missing k
+    translations = ZnAction(n=1, generators=(Translate(0.25),), space="circle")
+    pair = (translations, circle) if line_first else (circle, translations)
     with pytest.raises(ValueError, match="needs two circle actions"):
         conjugacy_verdict(*pair)
 

@@ -15,9 +15,11 @@ from circledyn import (Affine, CfExpansion, CircleZnAction, CochainTable,
                        conjugacy_verdict, evaluate, fixed_points, inverse,
                        orbit, parse_quad_irrational, power, project,
                        rational_class_table, rational_screen, rotation,
-                       sine_lift, transitivity_probe, wandering_probe)
+                       sine_lift, transitivity_probe, wandering_probe,
+                       word_ball)
 from circledyn.cli import action_to_bundle, main
 from circledyn.errors import DomainError, PrecisionError
+from circledyn.groups import check_word_budget
 
 ALPHA = parse_quad_irrational("sqrt(2)-1")
 LINE = build_line_action(ALPHA, 2)
@@ -95,6 +97,32 @@ def test_rational_screen_rejects_q_max_below_1(q_max):
     assert rational_screen(0.0001, 0.01, 1) == (0, 1)
     with pytest.raises(ValueError, match="q_max must be at least 1"):
         rational_screen(0.0001, 0.01, q_max)
+    # a NaN value was answered (1, 2), and a negative bound None
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="value must be finite"):
+            rational_screen(value, 0.1)
+    for bound in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="bound must be nonnegative"):
+            rational_screen(0.3, bound)
+
+
+#: wandering_probe(LINE, (A_PAST, A_PAST + 0.2), 1.5) answered REFUTES with
+#: the word (-1, 2), outside the radius, and coverage 1.0
+A_PAST = -1.4695858455634698
+
+
+@pytest.mark.parametrize("radius", [1.5, 2.0])
+@pytest.mark.parametrize("call", [
+    lambda r: orbit(LINE, 0.5, r),
+    lambda r: transitivity_probe(LINE, 0.5, 0.1, r),
+    lambda r: wandering_probe(LINE, (A_PAST, A_PAST + 0.2), r),
+    lambda r: word_ball(2, r),
+    lambda r: check_word_budget(2, r),
+], ids=["orbit", "transitivity", "wandering", "word ball", "budget"])
+def test_word_radius_must_be_an_integer(call, radius):
+    with pytest.raises(TypeError, match="'float' object cannot be "
+                                        "interpreted as an integer"):
+        call(radius)
 
 
 def test_cli_rotnum_rejects_q_max_0(capsys):

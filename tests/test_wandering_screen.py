@@ -9,17 +9,18 @@ evaluate calls for n = 4, radius 5)."""
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from circledyn import (CircleHomeo, Translate, ZnAction, build_circle_action,
-                       build_line_action, evaluate, inverse,
-                       parse_quad_irrational, wandering_probe, word_ball,
-                       word_to_homeo)
+from circledyn import (CircleHomeo, CircleZnAction, Translate, ZnAction,
+                       build_circle_action, build_line_action, evaluate,
+                       inverse, parse_quad_irrational, rotation,
+                       wandering_probe, word_ball, word_to_homeo)
 from circledyn import probes
 from circledyn.errors import DomainError
 from circledyn.expr import DEFAULT_EPS
-from circledyn.groups import check_word_budget
+from circledyn.groups import _arc_edges, check_word_budget
 from circledyn.probes import ProbeReport, ProbeVerdict, _ball_bounds
 
 ALPHA = parse_quad_irrational("sqrt(2)-1")
@@ -172,6 +173,40 @@ def test_reports_equal_the_stepped_screen(name):
         assert got.as_jsonable() == want.as_jsonable(), interval
         verdicts.add(got.verdict)
     assert verdicts == {ProbeVerdict.REFUTES, ProbeVerdict.SUPPORTS}
+
+
+def _off_construction_circles():
+    """k = 2 circle records whose lifts are not the construction's: the
+    sigma_bar lifts swapped, and f the rigid half turn."""
+    c = build_circle_action(ALPHA, 2, 2, (1, 0))
+    s1, s2, f = c.generators
+    half = rotation(Fraction(1, 2))
+    return {"swapped": CircleZnAction(c.n, c.k, c.base, c.g_word, f,
+                                      (s2, s1, f), c.marked_angles),
+            "half turn": CircleZnAction(c.n, c.k, c.base, c.g_word, half,
+                                        (s1, s2, half), c.marked_angles)}
+
+
+@pytest.mark.parametrize("name", sorted(_off_construction_circles()))
+def test_off_construction_circles_take_the_stepped_screen(name, monkeypatch):
+    action = _off_construction_circles()[name]
+    assert _arc_edges(action) is None
+    descents = []
+    descent = probes._descent
+
+    def spy(*args):
+        descents.append(args)
+        return descent(*args)
+
+    monkeypatch.setattr(probes, "_descent", spy)
+    # inside the arc (0, 0.5), where the construction's probe descends
+    intervals = _oracle_intervals(f"off {name}") + [(0.4137, 0.4137 + 1e-6),
+                                                    (0.1, 0.3)]
+    for interval in intervals:
+        got = wandering_probe(action, interval, 3)
+        want = _stepped_wandering(action, interval, 3)
+        assert got.as_jsonable() == want.as_jsonable(), interval
+    assert descents == []
 
 
 def test_narrow_probe_on_n4_radius5_evaluates_no_word(monkeypatch):
