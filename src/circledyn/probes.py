@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 import warnings
 from bisect import bisect_left, bisect_right, insort
 
@@ -149,11 +150,27 @@ def _sorted_values(generators, x: float, radius: int) -> list:
     put in at its sorted place.  The shift j's block lies in
     [j + m, j + m + 1], so the blocks j = -r..r follow one another and can
     meet only at their ends.  An x with u not in (0, 1) is fixed by every
-    cell transplant."""
+    cell transplant.  `orbit` takes the top level's cell as well
+    (`_sorted_ball`): when the cell is spaced mod 1 (`_spaced`), its merge
+    would keep every value in place, so it is skipped."""
+    return _sorted_ball(generators, x, radius)[0]
+
+
+def _sorted_ball(generators, x: float, radius: int):
+    """(values, cell): `_sorted_values`' values, and, when the head is the
+    unit translation, the cell whose values c give them as j + c for
+    |j| <= radius: at a cells level the pushed-forward sub-ball, in
+    increasing order inside [m, m + 1], and for translations the others'
+    ball in code order, read off as the zero shift's block.  The cell is
+    None for translations with another head."""
     if _level_shape(generators) == "translations":
         values = _level_values(generators, x, radius)
+        cell = None
+        if generators[0].amount == 1:
+            size = len(values) // (2 * radius + 1)
+            cell = values[radius * size:(radius + 1) * size]
         values.sort()
-        return values
+        return values, cell
     rest = generators[1:]
     m = math.floor(x)
     u = x - m
@@ -165,7 +182,39 @@ def _sorted_values(generators, x: float, radius: int) -> list:
         insort(cell, x)
     else:
         cell = [x] * (2 * radius + 1) ** len(rest)
-    return _shifted(cell, 1.0, radius)
+    return _shifted(cell, 1.0, radius), cell
+
+
+def _spaced(generators, values, cell) -> bool:
+    """Whether every two values of the sorted ball j + c (`_sorted_ball`)
+    lie at least DEDUP_RESOLUTION apart, so that merge_sorted would return
+    it unchanged.  Two values with the same c lie at least 1 apart, and two
+    with c != c' at least the circular distance of c and c' mod 1, which is
+    at least the smallest gap between neighbours of the cell around the
+    circle (a repeated value or residue is a gap of 0): the cell's own
+    differences and the wrap gap at a cells level, where the cell lies
+    sorted in [m, m + 1], and those of the residues c - floor(c), sorted,
+    for translations.  The check answers False at the first gap below
+    DEDUP_RESOLUTION + 4 ulps of scale, the largest magnitude of a value
+    plus 1.
+
+    The 4 ulps cover the rounding.  Every result involved has magnitude at
+    most scale, so each rounds by at most half an ulp of scale: a gap lies
+    within 1 ulp of the distance between the residues it joins (one
+    subtraction, or the wrap gap's addition of 1 and subtraction), each
+    residue within half an ulp of c's own, and each value within half an
+    ulp of j + c, which puts two values at least a gap less 3 ulps apart;
+    the threshold's own sum rounds by half an ulp more.  So a passing cell
+    puts every two values at least DEDUP_RESOLUTION apart as floats, and
+    their rounded difference too, rounding being monotone."""
+    if _level_shape(generators) == "translations":
+        cell = sorted([c - math.floor(c) for c in cell])
+    scale = max(-values[0], values[-1]) + 1.0
+    gap = DEDUP_RESOLUTION + 4 * math.ulp(scale)
+    return (cell[0] + 1.0 - cell[-1] >= gap
+            and all(d >= gap for d in map(operator.sub,
+                                          itertools.islice(cell, 1, None),
+                                          cell)))
 
 
 #: the wandering screen screens the balls of these radii before the full
@@ -469,15 +518,23 @@ def orbit(action, x0: float, radius: int) -> OrbitSample:
     Points are sorted, in linear time when they come sorted, and a point
     less than DEDUP_RESOLUTION above the last point kept is merged into
     it; on the circle the largest angle is also merged into the smallest
-    when they are that close across 0.
+    when they are that close across 0.  A closed-form line ball whose head
+    is the unit translation is j + c over a cell of values c; when the
+    cell's gaps mod 1 certify that no two points lie that close
+    (`_spaced`), the merge would keep every point in its place, so the
+    sorted ball is returned without it, the same floats.
     """
     generators = action.generators
     check_word_budget(len(generators), radius)
     x = evaluate(Identity(), x0, DEFAULT_EPS)    # rejects a non-finite x0
-    fill = _sorted_values if _closed_form(generators) else _level_values
-    values = fill(generators, x, radius)
+    if _closed_form(generators):
+        values, cell = _sorted_ball(generators, x, radius)
+    else:
+        values, cell = _level_values(generators, x, radius), None
     if is_circle(action):
         points = merge_circular(map(frac, values), DEDUP_RESOLUTION)
+    elif cell is not None and _spaced(generators, values, cell):
+        points = values
     else:
         points = merge_sorted(values, DEDUP_RESOLUTION)
     return OrbitSample(x0, radius, tuple(points))
@@ -493,7 +550,8 @@ def transitivity_probe(action, x0: float, eps: float, radius: int,
     hit bins are read off the sorted orbit by bisection, one search per
     hit bin, and memory is bounded by the orbit, whatever the number of
     bins; a window of more eps-bins than a float can count raises
-    ValueError.
+    ValueError.  The orbit is `orbit`'s, so a line ball whose top cell is
+    spaced mod 1 skips the merge, with the same points and coverage.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")

@@ -66,7 +66,7 @@ def _tables():
 def test_periodic_table_kernel_is_the_generic_loop(table, n):
     for y in starts(n):
         assert_same_orbit(table, y, n)
-    # start at a knot, where _eval takes its exact branch
+    # start at a knot, where _eval's polynomial is taken at s = 0
     assert_same_orbit(table, table.xs[-1] - 1.0, n)
 
 

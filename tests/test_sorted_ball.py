@@ -55,14 +55,16 @@ def test_orbit_merges_a_sorted_ball(monkeypatch):
     merge = probes.merge_sorted
 
     def spy(values, resolution):
-        merged.append(_nondecreasing(values))
+        merged.append((x0, _nondecreasing(values)))
         return merge(values, resolution)
 
     monkeypatch.setattr(probes, "merge_sorted", spy)
     action = build_line_action(ALPHA, 4)
     for x0 in (0.37, 0.5, 2.0, -1.61):
         orbit(action, x0, 5)
-    assert merged == [True] * 4
+    # every list orbit merges is sorted; at 0.37 and -1.61 the top cell is
+    # spaced, so the ball skips the merge
+    assert merged == [(0.5, True), (2.0, True)]
 
 
 #: an action of every shape that `orbit` fills: translation-only circle
