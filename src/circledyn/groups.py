@@ -203,8 +203,9 @@ def _arc_edges(action) -> tuple | None:
     """The arc edges (0, 1/k, ..., 1) of a circle action whose lifts are
     those `build_circle_action` makes with k >= 2: every sigma_bar_i lifts
     to `CellHat(base generator i, edges)`, and f to a `CellHat` on the
-    arcs (1/k, 2/k) after the translation by 1/k, so f's lift carries each
-    arc (i/k, (i+1)/k) onto the next.  None for any other action."""
+    arcs (1/k, 2/k), transplanting g_word's base word, after the
+    translation by 1/k, so f's lift carries each arc (i/k, (i+1)/k) onto
+    the next.  None for any other action."""
     if not isinstance(action, CircleZnAction) or action.k < 2:
         return None
     k = action.k
@@ -219,6 +220,8 @@ def _arc_edges(action) -> tuple | None:
     if not (type(lift) is Compose and len(lift.members) == 2
             and type(lift.members[0]) is CellHat
             and lift.members[0].edges == edges[1:3]
+            and lift.members[0].inner == word_to_homeo(action.base,
+                                                       action.g_word)
             and lift.members[1] == Translate(Fraction(1, k))):
         return None
     return edges

@@ -92,6 +92,9 @@ def _level_values(generators, x: float, radius: int,
         from shift j - 1 to j by one evaluation of g_1 (its lift, for a
         circle action), or of its inverse for j < 0, at DEFAULT_EPS.  That
         is one evaluation per non-zero word, in the order of its tree.
+        `orbit` steps a circle action only where `_arc_values` does not
+        apply: k = 1, other shapes, a base angle on a marked point or in
+        the chart's guard band.
 
     A closed-form level's error does not grow with the level: hbar's slope
     is at most 1/pi, so a sub-ball's error shrinks on the way up, and only
@@ -313,11 +316,8 @@ def _arc_chart(action, a: float, b: float, radius: int):
     edges = _arc_edges(action)
     if edges is None:
         return None
-    i = bisect_right(edges, a - math.floor(a), 1, len(edges) - 1) - 1
-    lo, width = edges[i], edges[i + 1] - edges[i]
-    da = a - lo
-    m = math.floor(da)
-    ua, ub = (da - m) / width, ((b - lo) - m) / width
+    _, lo, m, width = _arc_of(edges, a)
+    ua, ub = ((a - lo) - m) / width, ((b - lo) - m) / width
     ulp = math.ulp(2.0 * (max(1.0, abs(a), abs(b)) + radius + 1.0))
     clear = ((2 * len(action.generators) * radius + 1)
              * (DEFAULT_EPS + LEVEL_ULPS * ulp) / width)
@@ -328,6 +328,59 @@ def _arc_chart(action, a: float, b: float, radius: int):
     top = _chart((b + DEFAULT_EPS - low) / width + 2 * d)
     return (action.base.generators, _pull_back(ua), _pull_back(ub),
             bottom, top)
+
+
+def _arc_of(edges, x: float):
+    """(i, lo, m, width): the arc (lo + m, lo + m + width) of x, lo =
+    edges[i], found as the transplanted generators' `CellHat._eval` finds
+    it; x's chart coordinate there is ((x - lo) - m) / width."""
+    i = bisect_right(edges, x - math.floor(x), 1, len(edges) - 1) - 1
+    lo = edges[i]
+    return i, lo, math.floor(x - lo), edges[i + 1] - lo
+
+
+def _arc_values(action, x: float, radius: int) -> list | None:
+    """The ball of the circle construction (`groups._arc_edges`) at the
+    angle x in closed form, as angles in [0, 1) in increasing order; None
+    for any other action or base, which is stepped.
+
+    With x in arc i at the chart coordinate u and y = hbar^-1(u), the word
+    (v, w), w the exponent of f, maps x to the line word v at g^q(y),
+    pushed into arc (i + w) mod k through its chart, where q = floor((i +
+    w - 1)/k) - floor((i - 1)/k) counts f's passes through arc 1, which
+    apply g = g_word's base word.  The generators commute, so each w's
+    block is the base's sorted ball at g^q(y) (`_sorted_values`), one
+    evaluation of g^q per distinct q, pushed forward in order.  Each arc's
+    blocks are sorted together, which merges their runs, and the arcs laid
+    out in order.  The values agree with each word's tree within about
+    1e-14 mod 1.  A point on a marked angle or in the chart's guard band
+    (u within BOUNDARY_DELTA of a wall) is left to the stepped fill."""
+    edges = _arc_edges(action)
+    if edges is None or not _closed_form(action.base.generators):
+        return None
+    base = action.base.generators
+    i, lo, m, width = _arc_of(edges, x)
+    u = ((x - lo) - m) / width
+    if not BOUNDARY_DELTA <= u <= 1.0 - BOUNDARY_DELTA:
+        return None
+    k, y = action.k, _pull_back(u)
+    arcs = [[] for _ in range(k)]
+    hbars = {}
+    for w in range(-radius, radius + 1):
+        q = (i + w - 1) // k - (i - 1) // k
+        if q not in hbars:
+            g_q = word_to_homeo(action.base, [q * e for e in action.g_word])
+            at = evaluate(g_q, y, DEFAULT_EPS)
+            hbars[q] = _push_forward(0, _sorted_values(base, at, radius))
+        j = (i + w) % k
+        low, span = edges[j], edges[j + 1] - edges[j]
+        arcs[j] += [low + h * span for h in hbars[q]]
+    for arc in arcs:
+        arc.sort()
+    # the last arc's (k - 1 + hbar)/k can round to 1.0, the angle 0
+    top = arcs.pop()
+    cut = bisect_left(top, 1.0)
+    return list(itertools.chain([0.0] * (len(top) - cut), *arcs, top[:cut]))
 
 
 def _scale(generators, xa: float, xb: float, radius: int) -> float:
@@ -509,14 +562,17 @@ class ProbeReport(Record):
 def orbit(action, x0: float, radius: int) -> OrbitSample:
     """Evaluate every word in the sup-norm ball at x0.
 
-    Line actions return points on R; circle actions return angles in [0, 1).
-    The ball is checked against the word budget and filled by one call:
-    in increasing order when the generators are in closed form
-    (`_sorted_values`: the line construction, translation-only actions on
-    the line or the circle), in code order by one evaluation per non-zero
-    word otherwise (`_level_values`, a circle construction among them).
-    Points are sorted, in linear time when they come sorted, and a point
-    less than DEDUP_RESOLUTION above the last point kept is merged into
+    Line actions return points on R; circle actions return angles in [0, 1),
+    and a circle base point is first reduced to its angle (at 1e17 a lift
+    would absorb f's 1/k).  The ball is checked against the word budget and
+    filled by one call: over the arc charts for the circle construction
+    with k >= 2, off its walls and guard bands (`_arc_values`, within about
+    1e-14 of each word's tree mod 1); in increasing order when the
+    generators are in closed form (`_sorted_values`: the line construction,
+    translation-only actions on the line or the circle); in code order by
+    one evaluation per non-zero word otherwise (`_level_values`).  Points
+    are sorted, in linear time when they come sorted, and a point less than
+    DEDUP_RESOLUTION above the last point kept is merged into
     it; on the circle the largest angle is also merged into the smallest
     when they are that close across 0.  A closed-form line ball whose head
     is the unit translation is j + c over a cell of values c; when the
@@ -527,13 +583,20 @@ def orbit(action, x0: float, radius: int) -> OrbitSample:
     generators = action.generators
     check_word_budget(len(generators), radius)
     x = evaluate(Identity(), x0, DEFAULT_EPS)    # rejects a non-finite x0
+    if is_circle(action):
+        x = frac(x)    # a lift at 1e17 would absorb f's 1/k
+        angles = _arc_values(action, x, radius)
+        if angles is None:
+            fill = (_sorted_values if _closed_form(generators)
+                    else _level_values)
+            angles = map(frac, fill(generators, x, radius))
+        return OrbitSample(x0, radius,
+                           tuple(merge_circular(angles, DEDUP_RESOLUTION)))
     if _closed_form(generators):
         values, cell = _sorted_ball(generators, x, radius)
     else:
         values, cell = _level_values(generators, x, radius), None
-    if is_circle(action):
-        points = merge_circular(map(frac, values), DEDUP_RESOLUTION)
-    elif cell is not None and _spaced(generators, values, cell):
+    if cell is not None and _spaced(generators, values, cell):
         points = values
     else:
         points = merge_sorted(values, DEDUP_RESOLUTION)
@@ -551,7 +614,9 @@ def transitivity_probe(action, x0: float, eps: float, radius: int,
     hit bin, and memory is bounded by the orbit, whatever the number of
     bins; a window of more eps-bins than a float can count raises
     ValueError.  The orbit is `orbit`'s, so a line ball whose top cell is
-    spaced mod 1 skips the merge, with the same points and coverage.
+    spaced mod 1 skips the merge, with the same points and coverage.  A
+    circle action's orbit points are angles in [0, 1), so its window must
+    lie inside [0, 1]; another raises ValueError.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
@@ -561,6 +626,9 @@ def transitivity_probe(action, x0: float, eps: float, radius: int,
         raise ValueError("window end beyond the float range") from None
     if not b > a:
         raise ValueError("window must be a nonempty interval")
+    if is_circle(action) and not (a >= 0.0 and b <= 1.0):
+        raise ValueError(f"window ({a}, {b}) of a circle action must lie "
+                         "inside [0, 1], where its orbit angles lie")
     span = (b - a) / eps
     if not math.isfinite(span):
         raise ValueError(

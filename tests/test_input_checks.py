@@ -166,6 +166,21 @@ def test_cli_rejects_unusable_values(g2, capsys, argv, message):
     assert message in out.err
 
 
+def test_cli_rejects_a_circle_window_outside_the_unit(tmp_path, capsys):
+    path = str(tmp_path / "c22.json")
+    assert main(["build-group", "--alpha", "sqrt(2)-1", "--n", "2",
+                 "--circle", "--k", "2", "--g", "1,0", "--output", path]) == 0
+    capsys.readouterr()
+    argv = ["probe-transitive", "--group", path, "--eps", "0.1",
+            "--radius", "4", "--x0", "0.41"]
+    assert main(argv + ["--window", "0.5,1.5"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "window (0.5, 1.5) of a circle action" in out.err
+    # the unit window, the default, is still probed
+    assert main(argv + ["--window", "0,1"]) == 0
+
+
 def test_cli_fixed_points_rejects_nan_tol(capsys):
     assert main(["fixed-points", "--lift", "sine:0.0,0.1",
                  "--tol", "nan"]) == 2
@@ -229,6 +244,12 @@ def test_probe_ends_past_the_float_range_are_refused(call, name):
      ValueError, "h_word must have length 2"),
     (lambda: transitivity_probe(LINE, 0.5, 0.1, 1, (1.0, 1.0)), ValueError,
      "window must be a nonempty interval"),
+    # circle orbit points are angles in [0, 1), so half of this window
+    # could never be hit: coverage 0.5 at any radius
+    (lambda: transitivity_probe(CIRCLE, 0.41, 0.1, 4, (0.5, 1.5)),
+     ValueError, r"window \(0.5, 1.5\) of a circle action must lie inside"),
+    (lambda: transitivity_probe(CIRCLE, 0.41, 0.1, 4, (-0.25, 0.75)),
+     ValueError, r"window \(-0.25, 0.75\) of a circle action"),
     (lambda: wandering_probe(LINE, (0.4, 0.2), 1), ValueError,
      "interval must satisfy a < b"),
     (lambda: CfExpansion([1], []), ValueError, "period must be non-empty"),
@@ -265,6 +286,7 @@ def test_probe_ends_past_the_float_range_are_refused(call, name):
 ], ids=["affine scale 0", "affine scale < 0", "one breakpoint",
         "interpolation", "extension", "one member", "hat guard band",
         "k 0", "g_word length", "h_word length", "empty window",
+        "circle window above", "circle window below",
         "reversed interval", "empty period", "term 0", "character",
         "missing paren", "deep nesting", "trailing input", "inhomogeneous",
         "coboundary budget", "class table k 0", "N below 10",

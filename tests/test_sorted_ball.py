@@ -85,13 +85,17 @@ SHAPES = {
 @pytest.mark.parametrize("name", sorted(SHAPES))
 def test_orbit_points_of_every_shape(name):
     # the points are the code-order ball merged, bit for bit, whichever
-    # fill orbit takes
+    # fill orbit takes: at the angle of x0 on the circle, and there in
+    # closed form over the arc charts for the circle construction off its
+    # walls and guard bands
     action = SHAPES[name]
     rng = random.Random(f"orbit shape {name}")
     base_points = (0.0, -0.0, 2, -3, 1 - 2.0**-53) + tuple(
         rng.uniform(-3.0, 3.0) for _ in range(3))
     for x0 in base_points:
-        values = probes._level_values(action.generators, float(x0), 2)
+        x = frac(x0) if is_circle(action) else float(x0)
+        values = (probes._arc_values(action, x, 2)
+                  or probes._level_values(action.generators, x, 2))
         if is_circle(action):
             want = merge_circular(map(frac, values), DEDUP_RESOLUTION)
         else:

@@ -42,11 +42,13 @@ def evaluate_calls(monkeypatch):
 def test_circle_orbit_evaluates_once_per_word(spec, radius, expected,
                                               evaluate_calls):
     # one evaluation per non-zero word plus the base point's check; the
-    # shell-by-shell step engine made 985 and 3,961
+    # shell-by-shell step engine made 985 and 3,961.  The marked points and
+    # a point in the chart's guard band are stepped; other base points take
+    # the closed form (test_circle_closed_form.py)
     action = build_circle_action(ALPHA, *spec)
     rank = len(action.generators)
     assert expected == (2 * radius + 1) ** rank
-    for x0 in (0.37, -1.2):
+    for x0 in (0.5, -1.0, 0.5 + 2.0**-52):
         evaluate_calls[0] = 0
         orbit(action, x0, radius)
         assert evaluate_calls[0] == expected
