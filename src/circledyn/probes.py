@@ -10,6 +10,7 @@ INCONCLUSIVE, while wandering violations and fixed points are certified
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import operator
@@ -21,8 +22,8 @@ from .circle import CircleHomeo, frac, merge_circular, merge_sorted
 from .errors import NonIsolatedFixedPointsWarning
 from .expr import (BOUNDARY_DELTA, DEFAULT_EPS, UNIT_EDGES, CellHat,
                    HomeoExpr, Identity, Translate, evaluate, inverse)
-from .groups import (_arc_edges, check_word_budget, is_circle, word_ball,
-                     word_to_homeo)
+from .groups import (ZnAction, _arc_edges, check_word_budget, is_circle,
+                     word_ball, word_to_homeo)
 
 DEDUP_RESOLUTION = 1e-12
 #: points of an interval at which a word is checked to be the identity
@@ -145,61 +146,66 @@ def _shifted(cell, shift: float, radius: int) -> list:
 
 def _sorted_values(generators, x: float, radius: int) -> list:
     """The values of `_level_values` for closed-form generators
-    (`_closed_form`), the same multiset, in increasing order.  Only the
-    translations at the base are sorted.  Above them, each cells level
-    pushes the inners' sorted ball at y = hbar^-1(u) forward into the cell
-    m of x = m + u (`_push_forward`), which keeps it sorted; the inners'
-    zero word, whose value is y, is the identity, so its image is x itself,
-    put in at its sorted place.  The shift j's block lies in
-    [j + m, j + m + 1], so the blocks j = -r..r follow one another and can
-    meet only at their ends.  An x with u not in (0, 1) is fixed by every
-    cell transplant.  `orbit` takes the top level's cell as well
-    (`_sorted_ball`): when the cell is spaced mod 1 (`_spaced`), its merge
-    would keep every value in place, so it is skipped."""
+    (`_closed_form`), the same multiset, in increasing order
+    (`_sorted_ball`)."""
     return _sorted_ball(generators, x, radius)[0]
 
 
 def _sorted_ball(generators, x: float, radius: int):
-    """(values, cell): `_sorted_values`' values, and, when the head is the
-    unit translation, the cell whose values c give them as j + c for
-    |j| <= radius: at a cells level the pushed-forward sub-ball, in
-    increasing order inside [m, m + 1], and for translations the others'
-    ball in code order, read off as the zero shift's block.  The cell is
-    None for translations with another head."""
-    if _level_shape(generators) == "translations":
+    """(values, cell): `_sorted_values`' values and their top cell
+    (`_top_cell`), or None.  Only translations are sorted: at a cells level
+    the shift j's block lies in [j + m, j + m + 1], so the blocks j =
+    -r..r follow one another and can meet only at their ends."""
+    cell = _top_cell(generators, x, radius)
+    if cell is None:
         values = _level_values(generators, x, radius)
-        cell = None
-        if generators[0].amount == 1:
-            size = len(values) // (2 * radius + 1)
-            cell = values[radius * size:(radius + 1) * size]
+    else:
+        values = _shifted(cell, 1.0, radius)
+    if _level_shape(generators) == "translations":
         values.sort()
-        return values, cell
+    return values, cell
+
+
+def _top_cell(generators, x: float, radius: int) -> list | None:
+    """The values c, in increasing order, that give the ball of closed-form
+    generators headed by the unit translation as j + c for |j| <= radius;
+    None for translations under another head.  At a cells level it is the
+    inners' sorted ball at y = hbar^-1(u) pushed forward into the cell m of
+    x = m + u (`_push_forward`), which keeps it sorted; the inners' zero
+    word, whose value is y, is the identity, so its image is x itself, put
+    in at its sorted place.  An x with u not in (0, 1) is fixed by every
+    cell transplant.  For translations it is the other generators' ball."""
     rest = generators[1:]
+    if _level_shape(generators) == "translations":
+        if generators[0].amount != 1:
+            return None
+        return sorted(_level_values(rest, x, radius)) if rest else [x]
     m = math.floor(x)
     u = x - m
-    if 0.0 < u < 1.0:
-        y = _pull_back(u)
-        inner = _sorted_values(tuple(g.inner for g in rest), y, radius)
-        inner.remove(y)
-        cell = _push_forward(m, inner)
-        insort(cell, x)
-    else:
-        cell = [x] * (2 * radius + 1) ** len(rest)
-    return _shifted(cell, 1.0, radius), cell
+    if not 0.0 < u < 1.0:
+        return [x] * (2 * radius + 1) ** len(rest)
+    y = _pull_back(u)
+    inner = _sorted_values(tuple(g.inner for g in rest), y, radius)
+    inner.remove(y)
+    cell = _push_forward(m, inner)
+    insort(cell, x)
+    return cell
 
 
-def _spaced(generators, values, cell) -> bool:
-    """Whether every two values of the sorted ball j + c (`_sorted_ball`)
-    lie at least DEDUP_RESOLUTION apart, so that merge_sorted would return
-    it unchanged.  Two values with the same c lie at least 1 apart, and two
-    with c != c' at least the circular distance of c and c' mod 1, which is
-    at least the smallest gap between neighbours of the cell around the
-    circle (a repeated value or residue is a gap of 0): the cell's own
-    differences and the wrap gap at a cells level, where the cell lies
-    sorted in [m, m + 1], and those of the residues c - floor(c), sorted,
-    for translations.  The check answers False at the first gap below
-    DEDUP_RESOLUTION + 4 ulps of scale, the largest magnitude of a value
-    plus 1.
+def _spaced(generators, cell, radius: int) -> bool:
+    """Whether every two values of the sorted ball j + c over this top cell
+    (`_top_cell`) lie at least DEDUP_RESOLUTION apart, so that
+    merge_sorted would return it unchanged.  Two values with the same c lie
+    at least 1 apart, and two with c != c' at least the circular distance
+    of c and c' mod 1, which is at least the smallest gap between
+    neighbours of the cell around the circle (a repeated value or residue
+    is a gap of 0): the cell's own differences and the wrap gap at a cells
+    level, where the cell lies sorted in [m, m + 1], and those of the
+    residues c - floor(c), sorted, for translations.  The check answers
+    False at the first gap below DEDUP_RESOLUTION + 4 ulps of scale, the
+    largest magnitude of a value plus 1.  Float addition is monotone, so
+    the smallest and largest values are -radius + cell[0] and radius +
+    cell[-1], the sorted ball's ends bit for bit.
 
     The 4 ulps cover the rounding.  Every result involved has magnitude at
     most scale, so each rounds by at most half an ulp of scale: a gap lies
@@ -210,9 +216,9 @@ def _spaced(generators, values, cell) -> bool:
     the threshold's own sum rounds by half an ulp more.  So a passing cell
     puts every two values at least DEDUP_RESOLUTION apart as floats, and
     their rounded difference too, rounding being monotone."""
+    scale = max(-(-radius + cell[0]), radius + cell[-1]) + 1.0
     if _level_shape(generators) == "translations":
         cell = sorted([c - math.floor(c) for c in cell])
-    scale = max(-values[0], values[-1]) + 1.0
     gap = DEDUP_RESOLUTION + 4 * math.ulp(scale)
     return (cell[0] + 1.0 - cell[-1] >= gap
             and all(d >= gap for d in map(operator.sub,
@@ -596,11 +602,40 @@ def orbit(action, x0: float, radius: int) -> OrbitSample:
         values, cell = _sorted_ball(generators, x, radius)
     else:
         values, cell = _level_values(generators, x, radius), None
-    if cell is not None and _spaced(generators, values, cell):
+    if cell is not None and _spaced(generators, cell, radius):
         points = values
     else:
         points = merge_sorted(values, DEDUP_RESOLUTION)
     return OrbitSample(x0, radius, tuple(points))
+
+
+def _window_ball(action, x0: float, radius: int, a: float, b: float):
+    """(points, size): the points of `orbit(action, x0, radius)` in [a, b),
+    in increasing order, and the orbit's size, read off the top cell of a
+    line ball that is j + c over a cell spaced mod 1 (`_top_cell`,
+    `_spaced`), where `orbit` merges no point; None for any other action or
+    cell.  For each shift j whose block can meet the window (floor and ceil
+    of its ends less the cell's, widened by 1 for their rounding) the
+    cell's slice is bisected on the sums j + c themselves, the floats
+    `_shifted` gives; the blocks of a cells level follow one another, and
+    the window's points of overlapping translation blocks are sorted."""
+    if not isinstance(action, ZnAction) or is_circle(action):
+        return None
+    generators = action.generators
+    check_word_budget(len(generators), radius)
+    x = evaluate(Identity(), x0, DEFAULT_EPS)    # rejects a non-finite x0
+    cell = (_top_cell(generators, x, radius) if _closed_form(generators)
+            else None)
+    if cell is None or not _spaced(generators, cell, radius):
+        return None
+    points = []
+    for j in _shifts(a - cell[-1] - 1.0, b - cell[0] + 1.0, radius):
+        plus = functools.partial(operator.add, float(j))
+        lo = bisect_left(cell, a, key=plus)
+        points += map(plus, cell[lo:bisect_left(cell, b, lo, key=plus)])
+    if _level_shape(generators) == "translations":
+        points.sort()
+    return points, (2 * radius + 1) * len(cell)
 
 
 def transitivity_probe(action, x0: float, eps: float, radius: int,
@@ -613,10 +648,18 @@ def transitivity_probe(action, x0: float, eps: float, radius: int,
     hit bins are read off the sorted orbit by bisection, one search per
     hit bin, and memory is bounded by the orbit, whatever the number of
     bins; a window of more eps-bins than a float can count raises
-    ValueError.  The orbit is `orbit`'s, so a line ball whose top cell is
-    spaced mod 1 skips the merge, with the same points and coverage.  A
-    circle action's orbit points are angles in [0, 1), so its window must
-    lie inside [0, 1]; another raises ValueError.
+    ValueError.  The points and orbit_size are `orbit`'s, read straight
+    off the sorted top cell, without building the ball, where `orbit`
+    would merge no point (`_window_ball`).  A circle action's orbit points
+    are angles in [0, 1), so its window must lie inside [0, 1]; another
+    raises ValueError.
+
+    SUPPORTS is evidence from a finite ball, not a proof.  The paper
+    divides the groups: Z^n with n >= 2 acts transitively on the line (the
+    construction), but no Z-action on R is topologically transitive: where
+    F(x) > x, the images of (x, F(x)) are pairwise disjoint.  Yet the rank-1
+    `ZnAction(n=1, generators=(Translate(0.01),))` at x0 = 0.5, eps 0.02
+    and radius 100 answers SUPPORTS with coverage 1.0.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
@@ -633,15 +676,18 @@ def transitivity_probe(action, x0: float, eps: float, radius: int,
     if not math.isfinite(span):
         raise ValueError(
             f"window ({a}, {b}) holds too many bins of width {eps}")
-    sample = orbit(action, x0, radius)
+    found = _window_ball(action, x0, radius, a, b)
+    if found is None:
+        points = orbit(action, x0, radius).points
+        found = (points[bisect_left(points, a):bisect_left(points, b)],
+                 len(points))
+    points, size = found
     bins = max(1, math.ceil(span))
 
     def bin_of(y):
         return min(int((y - a) / eps), bins - 1)
 
-    points = sample.points
-    i, end = bisect_left(points, a), bisect_left(points, b)
-    hit = 0
+    i, end, hit = 0, len(points), 0
     while i < end:
         hit += 1
         i = bisect_right(points, bin_of(points[i]), i, end, key=bin_of)
@@ -649,7 +695,7 @@ def transitivity_probe(action, x0: float, eps: float, radius: int,
     verdict = ProbeVerdict.SUPPORTS if coverage == 1.0 else ProbeVerdict.INCONCLUSIVE
     return ProbeReport(verdict=verdict, coverage=coverage,
                        parameters={"eps": eps, "radius": radius,
-                                   "window": [a, b], "orbit_size": len(sample)})
+                                   "window": [a, b], "orbit_size": size})
 
 
 def _identity_on_interval(g: HomeoExpr, a: float, b: float, tol: float,
